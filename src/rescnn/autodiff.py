@@ -5,11 +5,15 @@ Carries exactly the operations the convolutional relation models need:
 embedding lookup, dropout, and softmax cross-entropy, plus an Adam optimizer
 and a central-difference gradient checker. Every op records parent links and
 a backward closure on its output; ``backward`` replays the closures in
-reverse topological order.
+reverse topological order and then unlinks them, so a graph is single-use
+and is freed by reference counting as soon as the caller drops the loss.
+Inside ``no_grad()`` ops record nothing and return plain leaves, which is how
+inference runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,7 @@ class Tensor:
     error surface, never silent state.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=()):
         arr = np.asarray(data, dtype=np.float64)
@@ -62,9 +66,27 @@ def zero_grads(tensors):
         t.zero_grad()
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs are plain leaves.
+
+    The previous setting comes back on exit, also when the block raises.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(data, parents):
     """Op output: requires grad iff any parent does; parents kept for topo."""
-    req = any(p.requires_grad for p in parents)
+    req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else ())
 
 
@@ -93,7 +115,11 @@ def backward(loss):
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     ``loss`` must be a scalar. Unreached parameters keep whatever their grad
-    already holds (zeros after ``zero_grads``).
+    already holds (zeros after ``zero_grads``). A graph is single-use: each
+    node drops its backward closure and parent links once the closure has
+    run, so the graph holds no reference cycle and the intermediates are
+    freed as soon as nothing else refers to them. A second ``backward`` on
+    the same loss propagates nothing; build the graph again instead.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -101,9 +127,12 @@ def backward(loss):
         return
     order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward()
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +331,13 @@ def _conv_input_grad(g, kernel, padded_shape, left, seq_len):
 
 
 def _conv_kernel_grad(g, xp):
-    width = xp.shape[1] - g.shape[1] + 1
-    s = g.shape[1]
-    gk = np.zeros((width, xp.shape[2], g.shape[2]))
+    batch, s, out_ch = g.shape
+    width = xp.shape[1] - s + 1
+    in_ch = xp.shape[2]
+    g2 = g.reshape(batch * s, out_ch)
+    gk = np.empty((width, in_ch, out_ch))
     for k in range(width):
-        gk[k] = np.einsum("bsc,bso->co", xp[:, k : k + s, :], g)
+        gk[k] = xp[:, k : k + s, :].reshape(batch * s, in_ch).T @ g2
     return gk
 
 

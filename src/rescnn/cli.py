@@ -187,6 +187,7 @@ def cmd_train(args):
             min_distance=args.emin, max_distance=args.emax, sent_len=args.n,
         ),
     )
+    md.check_storable(schema, vocab)
     model = md.build_model(config, seed=args.seed, vocab=vocab, schema=schema, word_table=word_table)
     log = tr.train(
         model,

@@ -220,7 +220,7 @@ def _synth_sentence(rng, cfg, is_test):
     is_na = cfg.na_fraction > 0.0 and rng.random() < cfg.na_fraction
     length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
     e1_num, e2_num = rng.choice(cfg.num_entities, size=2, replace=False)
-    tokens = [f"w{int(rng.integers(cfg.vocab_size)):03d}" for _ in range(length)]
+    tokens = [f"w{int(t):03d}" for t in rng.integers(cfg.vocab_size, size=length)]
     slots = rng.choice(length, size=3, replace=False)
     e1_pos, e2_pos, trig_pos = (int(s) for s in slots)
     tokens[e1_pos] = f"ent_{int(e1_num):03d}"

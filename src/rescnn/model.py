@@ -224,13 +224,17 @@ def forward(model, instances, mode="test", rng=None):
 
 
 def predict_proba(model, instances, chunk=256):
-    """Softmax class probabilities (len(instances), num_relations)."""
+    """Softmax class probabilities (len(instances), num_relations).
+
+    Runs without building an autodiff graph.
+    """
     rows = []
-    for start in range(0, len(instances), chunk):
-        logits = forward(model, instances[start : start + chunk], mode="test").data
-        shift = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shift)
-        rows.append(expd / expd.sum(axis=1, keepdims=True))
+    with ad.no_grad():
+        for start in range(0, len(instances), chunk):
+            logits = forward(model, instances[start : start + chunk], mode="test").data
+            shift = logits - logits.max(axis=1, keepdims=True)
+            expd = np.exp(shift)
+            rows.append(expd / expd.sum(axis=1, keepdims=True))
     return np.concatenate(rows, axis=0)
 
 
@@ -244,16 +248,25 @@ def predict_proba(model, instances, chunk=256):
 # model; save-load round trips are bit-identical.
 
 
+def check_storable(schema, vocab):
+    """Reject labels and tokens that the checkpoint manifest cannot hold.
+
+    Callers that train before saving call this first, so a bad label fails
+    before any training step rather than at the save.
+    """
+    for lab in schema.labels:
+        if "," in lab or "\n" in lab:
+            raise DataError(f"relation label {lab!r} may not contain commas or newlines")
+    for tok in vocab.tokens:
+        if not tok or any(ch.isspace() for ch in tok):
+            raise DataError(f"vocabulary token {tok!r} may not contain whitespace")
+
+
 def _manifest(model):
     cfg = model.config
     e = cfg.embedding
     labels = model.schema.labels
-    for lab in labels:
-        if "," in lab or "\n" in lab:
-            raise DataError(f"relation label {lab!r} may not contain commas or newlines")
-    for tok in model.vocab.tokens:
-        if not tok or any(ch.isspace() for ch in tok):
-            raise DataError(f"vocabulary token {tok!r} may not contain whitespace")
+    check_storable(model.schema, model.vocab)
     pairs = [
         ("format", CHECKPOINT_FORMAT),
         ("variant", cfg.variant),

@@ -76,9 +76,10 @@ def loss_on(model, encoded, chunk=256):
     if not encoded:
         raise DataError("cannot evaluate loss on an empty set")
     total = 0.0
-    for start in range(0, len(encoded), chunk):
-        batch = encoded[start : start + chunk]
-        total += float(_batch_loss(model, batch, "test", None).data) * len(batch)
+    with ad.no_grad():
+        for start in range(0, len(encoded), chunk):
+            batch = encoded[start : start + chunk]
+            total += float(_batch_loss(model, batch, "test", None).data) * len(batch)
     return total / len(encoded)
 
 
@@ -86,11 +87,8 @@ def accuracy_on(model, encoded, chunk=256):
     """Fraction of instances whose argmax class matches the label."""
     if not encoded:
         raise DataError("cannot evaluate accuracy on an empty set")
-    hits = 0
-    for start in range(0, len(encoded), chunk):
-        batch = encoded[start : start + chunk]
-        probs = md.predict_proba(model, batch, chunk=chunk)
-        hits += int((probs.argmax(axis=1) == np.array([e.label for e in batch])).sum())
+    probs = md.predict_proba(model, encoded, chunk=chunk)
+    hits = int((probs.argmax(axis=1) == np.array([e.label for e in encoded])).sum())
     return hits / len(encoded)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -69,6 +72,49 @@ class TestBackward:
         order = ad.topo_order(top)
         assert len(order) == len({id(node) for node in order})
         assert order.index(mid) < order.index(top)
+
+    def test_graph_is_freed_without_the_cyclic_collector(self):
+        rng = np.random.default_rng(0)
+        kernel = tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        bias = tensor(np.zeros(4), requires_grad=True)
+        gc.disable()
+        try:
+            hidden = ad.relu(ad.conv1d(tensor(rng.normal(size=(2, 5, 2))), kernel, bias, padding="same"))
+            ref = weakref.ref(hidden)
+            loss = ad.mean(ad.max_over_time(hidden))
+            del hidden
+            ad.backward(loss)
+            assert kernel.grad.any()
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestNoGrad:
+    def test_outputs_inside_the_block_are_plain_leaves(self):
+        w = tensor([[1.0, -2.0]], requires_grad=True)
+        with ad.no_grad():
+            out = ad.relu(ad.affine(tensor([[3.0]]), w, tensor([0.0, 0.0])))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, [[3.0, 0.0]])
+        assert ad.relu(w).requires_grad
+
+    def test_nested_blocks_restore_the_outer_setting(self):
+        w = tensor([1.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.relu(w).requires_grad
+        assert ad.relu(w).requires_grad
+
+    def test_setting_is_restored_after_an_exception(self):
+        w = tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.relu(w).requires_grad
 
 
 class TestRelu:
@@ -153,6 +199,44 @@ class TestConv1d:
         for i in range(3):
             single = ad.conv1d(tensor(x[i]), kernel, bias, padding="same").data
             np.testing.assert_allclose(batched[i], single)
+
+    @staticmethod
+    def _kernel_grad_reference(x, g, width, padding):
+        """dL/dK[k] as an explicit sum over windows: x[b, t + k - left] outer g[b, t]."""
+        left = 0 if padding == "valid" else (width - 1) // 2
+        gk = np.zeros((width, x.shape[2], g.shape[2]))
+        for b in range(g.shape[0]):
+            for t in range(g.shape[1]):
+                for k in range(width):
+                    src = t + k - left
+                    if 0 <= src < x.shape[1]:
+                        gk[k] += np.outer(x[b, src], g[b, t])
+        return gk
+
+    @pytest.mark.parametrize(
+        "shape, width, padding",
+        [
+            ((3, 7, 2), 3, "valid"),
+            ((3, 7, 2), 3, "same"),
+            ((2, 6, 3), 2, "valid"),
+            ((2, 6, 3), 4, "same"),
+            ((2, 5, 2), 5, "valid"),
+            ((2, 5, 2), 5, "same"),
+            ((6, 3), 3, "same"),
+            ((6, 3), 2, "valid"),
+        ],
+    )
+    def test_kernel_grad_matches_sum_over_windows(self, shape, width, padding):
+        rng = np.random.default_rng(width + len(shape))
+        x = rng.normal(size=shape)
+        kernel = tensor(rng.normal(size=(width, shape[-1], 4)), requires_grad=True)
+        out = ad.conv1d(tensor(x), kernel, tensor(np.zeros(4)), padding=padding)
+        upstream = rng.normal(size=out.data.shape)
+        out.grad[...] = upstream
+        out._backward()
+        batched = x if x.ndim == 3 else x[None]
+        want = self._kernel_grad_reference(batched, upstream.reshape(len(batched), -1, 4), width, padding)
+        np.testing.assert_allclose(kernel.grad, want, rtol=1e-12, atol=1e-12)
 
     @given(small_arrays((5, 2)), st.floats(-2, 2, allow_nan=False))
     def test_linearity_in_input(self, x, scale):

@@ -111,6 +111,24 @@ class TestDataErrors:
         assert code == 2
         capsys.readouterr()
 
+    def test_label_a_checkpoint_cannot_store_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "comma.jsonl"
+        ds.write_corpus(corpus, [
+            ds.CorpusInstance(("a", "b", "c"), 0, 2, "e1", "e2", "r,1"),
+            ds.CorpusInstance(("c", "b", "a"), 0, 2, "e2", "e1", "NA"),
+        ])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(ad, "backward", no_training)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--corpus", str(corpus), "--out", str(out), "--n", "8", "--m", "4"])
+        assert code == 2
+        assert "relation label 'r,1' may not contain commas or newlines" in capsys.readouterr().err
+        assert not (out / "trainlog.csv").exists()
+        assert not (out / "checkpoint.bin").exists()
+
     def test_embedding_dim_mismatch(self, tmp_path, capsys):
         data = run_synth(tmp_path)
         vectors = tmp_path / "vec.txt"

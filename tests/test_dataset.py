@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -240,6 +241,21 @@ class TestSynthGenerate:
         assert len(train) == 5 and len(test) == 3
         for fact in gold:
             assert fact[2] != ds.NA_LABEL
+
+
+class TestFillerDraw:
+    # _synth_sentence draws a sentence's filler tokens in one call; the corpus
+    # stays what one draw per token gave only while numpy keeps this equality
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1])
+    @pytest.mark.parametrize("vocab_size", [1, 7, 300, 70_000, 2**31 + 5])
+    def test_one_draw_equals_one_draw_per_token(self, seed, vocab_size):
+        batched = np.random.default_rng(seed)
+        per_token = np.random.default_rng(seed)
+        for length in (1, 3, 22, 30):
+            got = batched.integers(vocab_size, size=length)
+            want = [per_token.integers(vocab_size) for _ in range(length)]
+            assert got.tolist() == want
+        assert batched.bit_generator.state == per_token.bit_generator.state
 
 
 class TestTriggerRelation:

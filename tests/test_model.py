@@ -217,6 +217,15 @@ class TestPredictProba:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
         assert (probs >= 0).all()
 
+    def test_matches_softmax_of_a_graph_building_forward(self):
+        model = md.build_model(config(keep_prob=0.5), seed=1, vocab=VOCAB, schema=SCHEMA)
+        batch = sample_batch(5)
+        logits = md.forward(model, batch, mode="test")
+        assert logits.requires_grad
+        shift = logits.data - logits.data.max(axis=1, keepdims=True)
+        expd = np.exp(shift)
+        np.testing.assert_array_equal(md.predict_proba(model, batch), expd / expd.sum(axis=1, keepdims=True))
+
     def test_chunking_does_not_change_results(self):
         # chunk size reshapes the matmuls, so reductions may differ by a few ulp
         model = md.build_model(config(), seed=1, vocab=VOCAB, schema=SCHEMA)
@@ -262,6 +271,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             md.predict_proba(model, batch), md.predict_proba(md.load_checkpoint(path), batch)
         )
+
+    def test_label_with_comma_cannot_be_saved(self, tmp_path):
+        schema = ds.RelationSchema(("NA", "r,1", "r2"))
+        model = md.build_model(config(), seed=1, vocab=VOCAB, schema=schema)
+        with pytest.raises(DataError, match="commas"):
+            md.save_checkpoint(model, tmp_path / "ck.bin")
 
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
