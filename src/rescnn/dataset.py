@@ -11,6 +11,7 @@ labels and the gold fact set clean.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import DataError
 NA_LABEL = "NA"
 
 _FIELDS = ("tokens", "e1_idx", "e2_idx", "e1_id", "e2_id", "relation")
+_TOKENS_MSG = "tokens must be a non-empty list of non-empty strings"
+# matches exactly the code points for which str.isspace() is true
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,17 @@ def _parse_line(lineno, line):
     if missing:
         raise DataError(f"line {lineno}: missing fields {missing}")
     tokens = obj["tokens"]
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) and t for t in tokens):
-        raise DataError(f"line {lineno}: tokens must be a non-empty list of non-empty strings")
-    for t in tokens:
-        if any(ch.isspace() for ch in t):
-            raise DataError(f"line {lineno}: token {t!r} contains whitespace")
+    if not isinstance(tokens, list) or not tokens:
+        raise DataError(f"line {lineno}: {_TOKENS_MSG}")
+    try:
+        joined = "".join(tokens)  # TypeError unless every token is a string
+    except TypeError:
+        raise DataError(f"line {lineno}: {_TOKENS_MSG}") from None
+    if not all(tokens):
+        raise DataError(f"line {lineno}: {_TOKENS_MSG}")
+    if _WHITESPACE.search(joined):
+        bad = next(t for t in tokens if _WHITESPACE.search(t))
+        raise DataError(f"line {lineno}: token {bad!r} contains whitespace")
     for key in ("e1_idx", "e2_idx"):
         if not isinstance(obj[key], int) or isinstance(obj[key], bool):
             raise DataError(f"line {lineno}: {key} must be an integer")
@@ -133,6 +143,7 @@ def load_corpus(source, schema=None):
 
 def write_corpus(path, instances):
     """Write instances as compact JSONL with a fixed key order."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as handle:
         for inst in instances:
             obj = {
@@ -143,7 +154,7 @@ def write_corpus(path, instances):
                 "e2_id": inst.e2_id,
                 "relation": inst.relation,
             }
-            handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            handle.write(encode(obj) + "\n")
 
 
 def gold_facts(instances):
@@ -215,37 +226,63 @@ def trigger_relation(token):
     return _relation_name(int(parts[1]))
 
 
-def _synth_sentence(rng, cfg, is_test):
-    """One sentence; returns (instance, true_relation)."""
-    is_na = cfg.na_fraction > 0.0 and rng.random() < cfg.na_fraction
-    length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
-    e1_num, e2_num = rng.choice(cfg.num_entities, size=2, replace=False)
-    tokens = [f"w{int(t):03d}" for t in rng.integers(cfg.vocab_size, size=length)]
-    slots = rng.choice(length, size=3, replace=False)
-    e1_pos, e2_pos, trig_pos = (int(s) for s in slots)
-    tokens[e1_pos] = f"ent_{int(e1_num):03d}"
-    tokens[e2_pos] = f"ent_{int(e2_num):03d}"
-    if is_na:
-        true_label = NA_LABEL
-    else:
-        r = int(rng.integers(cfg.num_relations))
-        variant = int(rng.integers(cfg.triggers_per_relation))
-        tokens[trig_pos] = _trigger_token(r, variant)
-        true_label = _relation_name(r)
-    observed = true_label
-    if not is_test and true_label != NA_LABEL and cfg.noise_rate > 0.0 and rng.random() < cfg.noise_rate:
-        r_true = int(true_label.split("_")[1])
-        shift = 1 + int(rng.integers(cfg.num_relations - 1))
-        observed = _relation_name((r_true + shift) % cfg.num_relations)
-    inst = CorpusInstance(
-        tokens=tuple(tokens),
-        e1_idx=e1_pos,
-        e2_idx=e2_pos,
-        e1_id=f"ent_{int(e1_num):03d}",
-        e2_id=f"ent_{int(e2_num):03d}",
-        relation=observed,
-    )
-    return inst, true_label
+class _Names(dict):
+    """Id -> token string, formatted on first use and reused after."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self._fmt = fmt
+
+    def __missing__(self, key):
+        name = self[key] = self._fmt(key)
+        return name
+
+
+class _Synth:
+    """One seeded stream of sentences for ``cfg``.
+
+    Token strings come from lookup tables indexed by the drawn ids. The
+    generator calls and their order are fixed, so a seed always gives the
+    same corpus.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        rng = np.random.default_rng(cfg.seed)
+        self.random, self.integers, self.choice = rng.random, rng.integers, rng.choice
+        self.filler = _Names("w{:03d}".format)
+        self.entity = _Names("ent_{:03d}".format)
+        self.relation = [_relation_name(r) for r in range(cfg.num_relations)]
+        self.trigger = [[_trigger_token(r, v) for v in range(cfg.triggers_per_relation)]
+                        for r in range(cfg.num_relations)]
+
+    def sentence(self, is_test):
+        """One sentence; a training sentence may carry a flipped label."""
+        cfg, integers, filler = self.cfg, self.integers, self.filler
+        is_na = cfg.na_fraction > 0.0 and self.random() < cfg.na_fraction
+        length = int(integers(cfg.min_len, cfg.max_len + 1))
+        e1_num, e2_num = self.choice(cfg.num_entities, size=2, replace=False).tolist()
+        tokens = [filler[t] for t in integers(cfg.vocab_size, size=length).tolist()]
+        e1_pos, e2_pos, trig_pos = self.choice(length, size=3, replace=False).tolist()
+        e1_id, e2_id = self.entity[e1_num], self.entity[e2_num]
+        tokens[e1_pos] = e1_id
+        tokens[e2_pos] = e2_id
+        observed = NA_LABEL
+        if not is_na:
+            r = int(integers(cfg.num_relations))
+            tokens[trig_pos] = self.trigger[r][int(integers(cfg.triggers_per_relation))]
+            observed = self.relation[r]
+            if not is_test and cfg.noise_rate > 0.0 and self.random() < cfg.noise_rate:
+                shift = 1 + int(integers(cfg.num_relations - 1))
+                observed = self.relation[(r + shift) % cfg.num_relations]
+        return CorpusInstance(
+            tokens=tuple(tokens),
+            e1_idx=e1_pos,
+            e2_idx=e2_pos,
+            e1_id=e1_id,
+            e2_id=e2_id,
+            relation=observed,
+        )
 
 
 def synth_generate(cfg):
@@ -255,9 +292,9 @@ def synth_generate(cfg):
     ones, and ``gold`` is exactly ``gold_facts(test)``, so held-out scoring
     against it measures recovery of the clean signal.
     """
-    rng = np.random.default_rng(cfg.seed)
-    train = [_synth_sentence(rng, cfg, is_test=False)[0] for _ in range(cfg.num_train)]
-    test = [_synth_sentence(rng, cfg, is_test=True)[0] for _ in range(cfg.num_test)]
+    synth = _Synth(cfg)
+    train = [synth.sentence(is_test=False) for _ in range(cfg.num_train)]
+    test = [synth.sentence(is_test=True) for _ in range(cfg.num_test)]
     return train, test, gold_facts(test)
 
 

@@ -196,7 +196,7 @@ def build_model(config, seed, vocab, schema, word_table=None):
 
 
 def forward(model, instances, mode="test", rng=None):
-    """Logits (batch, num_relations) for a list of encoded instances.
+    """Logits (batch, num_relations) for an EncodedCorpus or a list of EncodedInstance.
 
     ``mode`` controls dropout: train masks with ``rng``, test rescales by
     keep_prob so expected pre-activations match.
@@ -226,7 +226,9 @@ def forward(model, instances, mode="test", rng=None):
 def predict_proba(model, instances, chunk=256):
     """Softmax class probabilities (len(instances), num_relations).
 
-    Runs without building an autodiff graph.
+    ``instances`` is an EncodedCorpus or a list of EncodedInstance; each
+    chunk of ``chunk`` rows is one forward pass. Runs without building an
+    autodiff graph.
     """
     rows = []
     with ad.no_grad():

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .embeddings import encode_corpus
+from .embeddings import as_corpus, encode_corpus
 from .errors import DataError, NumericsError, TrainingDivergence
 
 SHUFFLE_TAG = 101
@@ -66,15 +66,16 @@ class TrainLog:
 
 
 def _batch_loss(model, batch, mode, rng):
+    """Mean cross-entropy of an EncodedCorpus batch."""
     logits = md.forward(model, batch, mode=mode, rng=rng)
-    labels = np.array([e.label for e in batch], dtype=np.int64)
-    return ad.mean(ad.softmax_cross_entropy(logits, labels))
+    return ad.mean(ad.softmax_cross_entropy(logits, batch.labels))
 
 
 def loss_on(model, encoded, chunk=256):
     """Mean test-mode cross-entropy over already-encoded instances."""
     if not encoded:
         raise DataError("cannot evaluate loss on an empty set")
+    encoded = as_corpus(encoded)
     total = 0.0
     with ad.no_grad():
         for start in range(0, len(encoded), chunk):
@@ -87,8 +88,9 @@ def accuracy_on(model, encoded, chunk=256):
     """Fraction of instances whose argmax class matches the label."""
     if not encoded:
         raise DataError("cannot evaluate accuracy on an empty set")
+    encoded = as_corpus(encoded)
     probs = md.predict_proba(model, encoded, chunk=chunk)
-    hits = int((probs.argmax(axis=1) == np.array([e.label for e in encoded])).sum())
+    hits = int((probs.argmax(axis=1) == encoded.labels).sum())
     return hits / len(encoded)
 
 
@@ -111,8 +113,8 @@ def train(model, corpus, cfg):
         cut = int(round(len(encoded) * cfg.holdout_fraction))
         if cut:
             order = np.random.default_rng((cfg.seed, HOLDOUT_TAG)).permutation(len(encoded))
-            holdout = [encoded[i] for i in order[:cut]]
-            encoded = [encoded[i] for i in order[cut:]]
+            holdout = encoded[order[:cut]]
+            encoded = encoded[order[cut:]]
         if not encoded:
             raise DataError("holdout fraction leaves no training data")
     log = TrainLog(rejected=rejected)
@@ -122,7 +124,7 @@ def train(model, corpus, cfg):
     for epoch in range(cfg.epochs):
         order = np.random.default_rng((cfg.seed, SHUFFLE_TAG, epoch)).permutation(len(encoded))
         for start in range(0, len(order), cfg.batch_size):
-            batch = [encoded[i] for i in order[start : start + cfg.batch_size]]
+            batch = encoded[order[start : start + cfg.batch_size]]
             step += 1
             try:
                 loss = _batch_loss(model, batch, "train", dropout_rng)

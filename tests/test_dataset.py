@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -75,6 +76,20 @@ class TestLoadCorpus:
     def test_empty_source_gives_empty_list(self):
         assert ds.load_corpus(io.StringIO("")) == []
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\u00a0b", "\u2003", "x\x1f"])
+    def test_whitespace_message_names_the_first_offending_token(self, bad):
+        text = line() + "\n" + line(tokens=["ok", bad, "c\u2003d"]) + "\n"
+        with pytest.raises(DataError) as info:
+            ds.load_corpus(io.StringIO(text))
+        assert str(info.value) == f"line 2: token {bad!r} contains whitespace"
+
+    @pytest.mark.parametrize("tokens", [["a", 3], ["a", ""], [None], [], "abc", [["a"]]])
+    def test_malformed_token_list_names_the_line(self, tokens):
+        text = line() + "\n\n" + line(tokens=tokens, e1_idx=0, e2_idx=0) + "\n"
+        with pytest.raises(DataError) as info:
+            ds.load_corpus(io.StringIO(text))
+        assert str(info.value) == "line 3: tokens must be a non-empty list of non-empty strings"
+
 
 relation_st = st.sampled_from(["NA", "r1", "r2", "r3"])
 token_st = st.text(alphabet="abcxyz_0123", min_size=1, max_size=8)
@@ -107,6 +122,47 @@ class TestWriteCorpus:
         ds.write_corpus(path, ds.load_corpus(io.StringIO(line() + "\n")))
         text = path.read_text().strip()
         assert text.index('"tokens"') < text.index('"e1_idx"') < text.index('"relation"')
+
+
+class TestSynthCorpusDigests:
+    # sha256 of write_corpus(train + test); pins the generator's draws, their
+    # order and the token strings, so a faster generator must give these bytes
+    DIGESTS = {
+        "ladder_seed0": "3363f941da9a2e757b85badfd8b2fc75435236ad8e53f22d345005c839a366c5",
+        "ladder_seed1": "295a2524c73d519cd6fccaf1b230b92cbfd1068ddb8daa57a1700e09f34f16fb",
+        "ladder_seed2": "b50d6f2f16879bb8b060e8492f0d5ecab38f6b63852bd975c090199c1c641d40",
+        "vocab1500": "5812ad5c9813671174219984cb9398ec1be0c5e7f2ca066e776378bc712df957",
+        "two_entities": "4928fb20c439e496dd2fd73fb833c07c79142055b920075118c2296b627fd88f",
+        "len3": "2972425b8eb8c15c9e82e118bb1c97025321b8fb6f092d48b60c414bc1e2bd6b",
+        "noise_na": "9c950f93778697fed59404dd874f1c4d1e59ba35d4fc59a5cbffade6430e27c4",
+    }
+    LADDER = dict(noise_rate=0.3, num_relations=7, vocab_size=300, triggers_per_relation=2, min_len=22,
+                  max_len=30, na_fraction=0.25, num_train=5000, num_test=1000)
+    CONFIGS = {
+        "ladder_seed0": ds.SynthConfig(**LADDER, seed=0),
+        "ladder_seed1": ds.SynthConfig(**LADDER, seed=1),
+        "ladder_seed2": ds.SynthConfig(**LADDER, seed=2),
+        "vocab1500": ds.SynthConfig(vocab_size=1500, num_train=300, num_test=100, seed=5),
+        "two_entities": ds.SynthConfig(num_entities=2, num_train=300, num_test=100, seed=6),
+        "len3": ds.SynthConfig(min_len=3, max_len=3, num_train=300, num_test=100, seed=7),
+        "noise_na": ds.SynthConfig(noise_rate=0.4, na_fraction=0.3, num_train=300, num_test=100, seed=8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_written_corpus_bytes_are_pinned(self, tmp_path, name):
+        train, test, _ = ds.synth_generate(self.CONFIGS[name])
+        path = tmp_path / "corpus.jsonl"
+        ds.write_corpus(path, train + test)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[name]
+
+    def test_write_corpus_matches_json_dumps(self, tmp_path):
+        train, _, _ = ds.synth_generate(self.CONFIGS["noise_na"])
+        path = tmp_path / "corpus.jsonl"
+        ds.write_corpus(path, train)
+        want = "".join(json.dumps({"tokens": list(i.tokens), "e1_idx": i.e1_idx, "e2_idx": i.e2_idx,
+                                   "e1_id": i.e1_id, "e2_id": i.e2_id, "relation": i.relation},
+                                  separators=(",", ":")) + "\n" for i in train)
+        assert path.read_text(encoding="utf-8") == want
 
 
 class TestGoldFacts:
@@ -244,7 +300,7 @@ class TestSynthGenerate:
 
 
 class TestFillerDraw:
-    # _synth_sentence draws a sentence's filler tokens in one call; the corpus
+    # synthesis draws a sentence's filler tokens in one call; the corpus
     # stays what one draw per token gave only while numpy keeps this equality
     @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1])
     @pytest.mark.parametrize("vocab_size", [1, 7, 300, 70_000, 2**31 + 5])

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rescnn import autodiff as ad
+from rescnn import dataset as ds
 from rescnn import embeddings as em
 from rescnn.errors import DataError
 
@@ -129,6 +130,132 @@ class TestEncodeInstance:
         v = em.Vocabulary(["a", "b"])
         enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL, pair_key=("x", "y"))
         assert enc.pair_key == ("x", "y")
+
+
+def row_by_row(instances, vocab, cfg, schema):
+    """The encoder as one encode_instance call per sentence: the reference."""
+    rows, rejected = [], 0
+    for inst in instances:
+        try:
+            rows.append(em.encode_instance(inst.tokens, inst.e1_idx, inst.e2_idx, schema.id_of(inst.relation),
+                                           vocab, cfg, pair_key=(inst.e1_id, inst.e2_id)))
+        except DataError:
+            rejected += 1
+    return rows, rejected
+
+
+def mixed_corpus(seed, count=400):
+    """Sentences longer and shorter than SMALL.sent_len, with unknown words,
+    the reserved tokens as words, repeated pairs and every rejection cause:
+    an empty sentence, an entity outside the sentence, an entity past
+    sent_len and an unknown label."""
+    rng = np.random.default_rng(seed)
+    words = [f"t{i}" for i in range(12)] + [em.PAD_TOKEN, em.UNK_TOKEN]
+    out = []
+    for _ in range(count):
+        length = int(rng.integers(0, 16))
+        tokens = tuple(words[int(t)] for t in rng.integers(0, len(words), size=length))
+        e1, e2 = (int(e) for e in rng.integers(-1, 17, size=2))
+        relation = ("NA", "r1", "r2", "unknown")[int(rng.integers(4))]
+        out.append(ds.CorpusInstance(tokens, e1, e2, f"e{int(rng.integers(5))}", f"e{int(rng.integers(5))}",
+                                     relation))
+    return out
+
+
+class TestEncodeCorpus:
+    VOCAB = em.Vocabulary([f"t{i}" for i in range(8)])  # t8 .. t11 map to UNK
+    SCHEMA = ds.RelationSchema(("NA", "r1", "r2"))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_row_by_row_encoding(self, seed):
+        corpus = mixed_corpus(seed)
+        got, rejected = em.encode_corpus(corpus, self.VOCAB, SMALL, self.SCHEMA)
+        rows, want_rejected = row_by_row(corpus, self.VOCAB, SMALL, self.SCHEMA)
+        assert rejected == want_rejected and len(got) == len(rows)
+        for name in ("token_ids", "pos1_ids", "pos2_ids"):
+            want = np.stack([getattr(r, name) for r in rows])
+            assert getattr(got, name).dtype == np.int64
+            assert np.array_equal(getattr(got, name), want)
+        assert np.array_equal(got.labels, [r.label for r in rows])
+        assert np.array_equal(got.original_lengths, [r.original_length for r in rows])
+        assert got.pair_keys == [r.pair_key for r in rows]
+
+    def test_corpus_exercises_every_case(self):
+        corpus = mixed_corpus(0)
+        got, _ = em.encode_corpus(corpus, self.VOCAB, SMALL, self.SCHEMA)
+        assert (got.original_lengths > SMALL.sent_len).any()  # truncation
+        assert (got.token_ids == em.UNK_ID).any() and (got.token_ids == em.PAD_ID).any()
+        causes = {"empty": 0, "outside": 0, "past sent_len": 0, "label": 0}
+        for inst in corpus:
+            n = len(inst.tokens)
+            if n == 0:
+                causes["empty"] += 1
+            elif not (0 <= inst.e1_idx < n and 0 <= inst.e2_idx < n):
+                causes["outside"] += 1
+            elif max(inst.e1_idx, inst.e2_idx) >= SMALL.sent_len:
+                causes["past sent_len"] += 1
+            elif inst.relation == "unknown":
+                causes["label"] += 1
+        assert all(causes.values()), causes
+
+    def test_all_rejected_gives_an_empty_corpus(self):
+        corpus = [ds.CorpusInstance(("a",), 0, 3, "x", "y", "r1")]
+        got, rejected = em.encode_corpus(corpus, self.VOCAB, SMALL, self.SCHEMA)
+        assert rejected == 1 and len(got) == 0 and not got
+        assert got.token_ids.shape == (0, SMALL.sent_len)
+
+
+class TestEncodedCorpus:
+    def _corpus(self):
+        encoded, _ = em.encode_corpus(mixed_corpus(3), TestEncodeCorpus.VOCAB, SMALL, TestEncodeCorpus.SCHEMA)
+        return encoded
+
+    @staticmethod
+    def _same_rows(a, b):
+        return (np.array_equal(a.token_ids, b.token_ids) and np.array_equal(a.pos1_ids, b.pos1_ids)
+                and np.array_equal(a.pos2_ids, b.pos2_ids) and np.array_equal(a.labels, b.labels)
+                and a.pair_keys == b.pair_keys and np.array_equal(a.original_lengths, b.original_lengths))
+
+    def test_integer_gives_the_row(self):
+        enc = self._corpus()
+        row = enc[4]
+        assert isinstance(row, em.EncodedInstance)
+        assert np.array_equal(row.token_ids, enc.token_ids[4])
+        assert row.label == int(enc.labels[4]) and isinstance(row.label, int)
+        assert row.pair_key == enc.pair_keys[4]
+        assert enc[-1].pair_key == enc.pair_keys[-1]
+        assert enc[np.int64(2)].label == int(enc.labels[2])
+
+    def test_slice_and_index_array_select_rows(self):
+        enc = self._corpus()
+        part = enc[3:9]
+        assert isinstance(part, em.EncodedCorpus) and len(part) == 6
+        assert part.pairs is enc.pairs
+        assert part.pair_keys == enc.pair_keys[3:9]
+        picked = enc[np.array([7, 0, 7, 2])]
+        assert len(picked) == 4
+        assert np.array_equal(picked.token_ids, enc.token_ids[[7, 0, 7, 2]])
+        assert picked.pair_keys == [enc.pair_keys[i] for i in (7, 0, 7, 2)]
+
+    def test_iteration_yields_rows_with_labels(self):
+        enc = self._corpus()
+        rows = list(enc)
+        assert len(rows) == len(enc)
+        assert [r.label for r in rows] == enc.labels.tolist()
+        assert self._same_rows(em.EncodedCorpus.from_instances(rows), enc)
+
+    def test_as_corpus_stacks_a_list_and_keeps_a_corpus(self):
+        enc = self._corpus()
+        assert em.as_corpus(enc) is enc
+        assert self._same_rows(em.as_corpus(list(enc[:10])), enc[:10])
+
+    def test_embed_batch_takes_either_form(self):
+        enc = self._corpus()[:5]
+        rng = np.random.default_rng(0)
+        tables = [ad.Tensor(rng.normal(size=(rows, dim))) for rows, dim in
+                  ((len(TestEncodeCorpus.VOCAB), SMALL.word_dim), (SMALL.num_distances, SMALL.pos_dim),
+                   (SMALL.num_distances, SMALL.pos_dim))]
+        np.testing.assert_array_equal(em.embed_batch(*tables, enc).data, em.embed_batch(*tables, list(enc)).data)
 
 
 class TestLoadEmbeddings:

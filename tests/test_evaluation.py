@@ -177,6 +177,57 @@ class TestCollectPredictions:
         assert {p.relation_id for p in preds} == {1, 2}
 
 
+def dict_loop_ranking(pair_keys, probs, num_relations):
+    """collect_predictions as one dict update per (sentence, relation): the reference."""
+    best = {}
+    for i, pair_key in enumerate(pair_keys):
+        for rid in range(1, num_relations):
+            key = (pair_key, rid)
+            score = float(probs[i, rid])
+            cur = best.get(key)
+            if cur is None or score > cur.score:
+                best[key] = ev.RankedPrediction(pair_key, rid, score, i)
+    return sorted(best.values(), key=lambda p: (-p.score, p.pair_key, p.relation_id))
+
+
+class TestCollectPredictionsOracle:
+    """Random scores on a coarse grid force ties in both the max and the sort."""
+
+    @pytest.mark.parametrize("num_relations", [2, 3, 6])
+    def test_matches_dict_loop(self, monkeypatch, num_relations):
+        rng = np.random.default_rng(num_relations)
+        entities = ["a", "b", "c", "d", "aa", "B"]
+        schema = ds.RelationSchema(("NA", *(f"r{k}" for k in range(1, num_relations))))
+        model = FakedScoreModel(schema, None)
+        for _ in range(200):
+            count = int(rng.integers(1, 40))
+            keys = [(entities[int(a)], entities[int(b)]) for a, b in rng.integers(len(entities), size=(count, 2))]
+            probs = rng.integers(0, 5, size=(count, num_relations)) / 4.0
+            rows = [em.EncodedInstance(np.zeros(3, np.int64), np.zeros(3, np.int64), np.zeros(3, np.int64),
+                                       0, key) for key in keys]
+            monkeypatch.setattr(md, "predict_proba", lambda m, e, chunk=256: probs)
+            want = dict_loop_ranking(keys, probs, num_relations)
+            assert ev.collect_predictions(model, rows) == want
+            assert ev.collect_predictions(model, em.EncodedCorpus.from_instances(rows)) == want
+
+    def test_matches_dict_loop_on_a_trained_model(self, trained):
+        model, test, _ = trained
+        encoded, _ = em.encode_corpus(test, model.vocab, model.config.embedding, model.schema)
+        probs = md.predict_proba(model, encoded)
+        want = dict_loop_ranking(encoded.pair_keys, probs, model.schema.num_relations)
+        assert ev.collect_predictions(model, encoded) == want
+
+
+class TestSharedHitSweep:
+    def test_precomputed_hits_give_the_same_metrics(self):
+        gold = {("a", "b", 1), ("c", "d", 2)}
+        preds = ranked((("a", "b"), 1, 0.9), (("e", "f"), 1, 0.8), (("c", "d"), 2, 0.7))
+        hits = ev._cumulative_hits(preds, gold)
+        assert hits.tolist() == [1, 1, 2]
+        assert ev.pr_curve(preds, gold, hits=hits) == ev.pr_curve(preds, gold)
+        assert ev.precision_at_n(preds, gold, (1, 2, 5), hits=hits) == ev.precision_at_n(preds, gold, (1, 2, 5))
+
+
 @pytest.fixture(scope="module")
 def trained():
     cfg = ds.SynthConfig(num_relations=3, vocab_size=40, num_train=60,
