@@ -9,11 +9,22 @@ reverse topological order and then unlinks them, so a graph is single-use
 and is freed by reference counting as soon as the caller drops the loss.
 Inside ``no_grad()`` ops record nothing and return plain leaves, which is how
 inference runs.
+
+Gradient buffers are lazy for op outputs. Leaves and parameters get a zero
+``grad`` at construction, because ``zero_grad`` and Adam read it. An op
+output gets one on its first accumulation: an array the backward closure
+computed fresh becomes the buffer as it is, and an array the closure does
+not own (a pass-through, a slice, a broadcast) is copied. Reading ``grad``
+before anything was added still gives zeros.
+
+``steady_heap`` fixes glibc's allocator thresholds, so that a training step
+reuses the heap pages of the step before it instead of faulting them in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +35,15 @@ from .errors import NumericsError, ShapeError
 class Tensor:
     """Dense float64 array with an optional gradient slot.
 
-    ``requires_grad`` tensors get a zero-initialized ``grad`` of the same
-    shape; gradients accumulate across backward passes until ``zero_grad``.
+    ``requires_grad`` tensors have a ``grad`` of the same shape that reads
+    as zeros until something is added into it; gradients accumulate across
+    backward passes until ``zero_grad``. A tensor built with parents (an op
+    output) allocates that buffer on first use, every other one at once.
     Construction rejects NaN/Inf payloads outright: non-finite values are an
     error surface, never silent state.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "_grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=()):
         arr = np.asarray(data, dtype=np.float64)
@@ -39,10 +52,20 @@ class Tensor:
             raise NumericsError(f"non-finite values{where}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self._grad = np.zeros_like(arr) if self.requires_grad and not _parents else None
         self.name = name
         self._parents = _parents
         self._backward = None
+
+    @property
+    def grad(self):
+        if self._grad is None and self.requires_grad:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     @property
     def shape(self):
@@ -82,6 +105,53 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
+
+
+def _accumulate(t, g, fresh=False):
+    """Add ``g`` into ``t.grad``.
+
+    On the first accumulation into an op output, ``g`` becomes the buffer:
+    as it is if ``fresh`` says the caller computed it and holds no other
+    reference, otherwise as a copy, so no two tensors share a buffer.
+    """
+    if t._grad is None:
+        t._grad = g if fresh else np.array(g, dtype=np.float64)
+    else:
+        t._grad += g
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_mallopt = None  # looked up on the first steady_heap call; False where absent
+
+
+def steady_heap():
+    """Fix glibc's mmap and trim thresholds for this process.
+
+    A training step allocates and frees tens of MB of arrays. With glibc's
+    dynamic thresholds, whether those pages stay mapped between steps
+    depends on the allocation history of the whole process, so the same
+    step can fault in thousands of fresh pages or none. Setting
+    ``M_MMAP_THRESHOLD`` to its 64-bit maximum (32 MiB) serves every step
+    buffer and prediction chunk from the heap, and a fixed 256 MiB
+    ``M_TRIM_THRESHOLD`` keeps a step's working set mapped; setting either
+    one turns the dynamic thresholds off. The setting is process-wide and
+    stays for the life of the process; calling again changes nothing.
+    Where the C library has no ``mallopt`` this does nothing.
+    """
+    global _mallopt
+    if _mallopt is None:
+        try:
+            fn = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):
+            fn = False
+        else:
+            fn.argtypes = [ctypes.c_int, ctypes.c_int]
+            fn.restype = ctypes.c_int
+        _mallopt = fn
+    if _mallopt:
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _result(data, parents):
@@ -146,7 +216,7 @@ def relu(x):
         mask = x.data > 0.0
 
         def _bw():
-            x.grad += mask * out.grad
+            _accumulate(x, mask * out.grad, fresh=True)
 
         out._backward = _bw
     return out
@@ -161,9 +231,9 @@ def add(a, b):
 
         def _bw():
             if a.requires_grad:
-                a.grad += out.grad
+                _accumulate(a, out.grad)
             if b.requires_grad:
-                b.grad += out.grad
+                _accumulate(b, out.grad)
 
         out._backward = _bw
     return out
@@ -174,7 +244,7 @@ def sum_all(x):
     if out.requires_grad:
 
         def _bw():
-            x.grad += out.grad
+            _accumulate(x, np.broadcast_to(out.grad, x.data.shape))
 
         out._backward = _bw
     return out
@@ -186,7 +256,7 @@ def mean(x):
         inv = 1.0 / x.data.size
 
         def _bw():
-            x.grad += inv * out.grad
+            _accumulate(x, np.broadcast_to(inv * out.grad, x.data.shape))
 
         out._backward = _bw
     return out
@@ -205,7 +275,7 @@ def concat(parts, axis=-1):
                 if p.requires_grad:
                     index = [slice(None)] * out.grad.ndim
                     index[axis] = slice(offset, offset + w)
-                    p.grad += out.grad[tuple(index)]
+                    _accumulate(p, out.grad[tuple(index)])
                 offset += w
 
         out._backward = _bw
@@ -234,7 +304,7 @@ def dropout(x, p_keep, mode, rng=None):
     if out.requires_grad:
 
         def _bw():
-            x.grad += factor * out.grad
+            _accumulate(x, factor * out.grad, fresh=True)
 
         out._backward = _bw
     return out
@@ -248,7 +318,9 @@ def lookup(table, indices):
     """Gather rows of a (vocab, dim) table; scatter-add on the way back.
 
     ``indices`` may have any shape (including empty); repeated ids accumulate
-    their gradients into the same row.
+    their gradients into the same row. The scatter is one ``np.bincount``
+    over flat (row, column) positions, which sums in index order, so it
+    equals ``np.add.at`` bit for bit on a zeroed gradient.
     """
     if table.data.ndim != 2:
         raise ShapeError(f"lookup table must be 2-D, got shape {table.data.shape}")
@@ -263,7 +335,10 @@ def lookup(table, indices):
     if out.requires_grad:
 
         def _bw():
-            np.add.at(table.grad, idx, out.grad)
+            width = table.data.shape[1]
+            flat = (idx[..., None] * width + np.arange(width)).ravel()
+            sums = np.bincount(flat, weights=out.grad.ravel(), minlength=table.data.size)
+            _accumulate(table, sums.reshape(table.data.shape), fresh=True)
 
         out._backward = _bw
     return out
@@ -290,11 +365,11 @@ def affine(x, weight, bias):
             g = out.grad if batched else out.grad[None, :]
             if x.requires_grad:
                 gx = g @ weight.data.T
-                x.grad += gx if batched else gx[0]
+                _accumulate(x, gx if batched else gx[0], fresh=True)
             if weight.requires_grad:
-                weight.grad += xd.T @ g  # outer(x, g) summed over the batch
+                _accumulate(weight, xd.T @ g, fresh=True)  # outer(x, g) summed over the batch
             if bias.requires_grad:
-                bias.grad += g.sum(axis=0)
+                _accumulate(bias, g.sum(axis=0), fresh=True)
 
         out._backward = _bw
     return out
@@ -363,7 +438,11 @@ def conv1d(x, kernel, bias, padding="valid"):
     xd = x.data if batched else x.data[None]
     seq_len = xd.shape[1]
     left, right = _conv_pad(width, padding, seq_len)
-    xp = np.pad(xd, ((0, 0), (left, right), (0, 0))) if left or right else xd
+    if left or right:
+        xp = np.zeros((xd.shape[0], left + seq_len + right, in_ch))
+        xp[:, left : left + seq_len] = xd
+    else:
+        xp = xd
     data = _conv_forward(xp, kernel.data, bias.data)
     out = _result(data if batched else data[0], (x, kernel, bias))
     if out.requires_grad:
@@ -372,11 +451,11 @@ def conv1d(x, kernel, bias, padding="valid"):
             g = out.grad if batched else out.grad[None]
             if x.requires_grad:
                 gx = _conv_input_grad(g, kernel.data, xp.shape, left, seq_len)
-                x.grad += gx if batched else gx[0]
+                _accumulate(x, gx if batched else gx[0], fresh=True)
             if kernel.requires_grad:
-                kernel.grad += _conv_kernel_grad(g, xp)
+                _accumulate(kernel, _conv_kernel_grad(g, xp), fresh=True)
             if bias.requires_grad:
-                bias.grad += g.sum(axis=(0, 1))
+                _accumulate(bias, g.sum(axis=(0, 1)), fresh=True)
 
         out._backward = _bw
     return out
@@ -405,7 +484,7 @@ def max_over_time(x):
             g = out.grad if batched else out.grad[None]
             gx = np.zeros_like(xd)
             gx[b_ix, argmax, c_ix] = g
-            x.grad += gx if batched else gx[0]
+            _accumulate(x, gx if batched else gx[0], fresh=True)
 
         out._backward = _bw
     return out
@@ -442,7 +521,7 @@ def softmax_cross_entropy(logits, labels):
             gmat[np.arange(n_rows), lab] -= 1.0
             g = out.grad.reshape(-1)
             glogits = gmat * g[:, None]
-            logits.grad += glogits if batched else glogits[0]
+            _accumulate(logits, glogits if batched else glogits[0], fresh=True)
 
         out._backward = _bw
     return out

@@ -359,20 +359,6 @@ def _is_int(text):
     return True
 
 
-def embed(word_table, pos1_table, pos2_table, encoded):
-    """Feature matrix (sent_len, d_w + 2 d_p) for one encoded sentence."""
-    if pos1_table is pos2_table:
-        raise ValueError("pos1 and pos2 require distinct embedding tables")
-    return ad.concat(
-        [
-            ad.lookup(word_table, encoded.token_ids),
-            ad.lookup(pos1_table, encoded.pos1_ids),
-            ad.lookup(pos2_table, encoded.pos2_ids),
-        ],
-        axis=-1,
-    )
-
-
 def embed_batch(word_table, pos1_table, pos2_table, batch):
     """Features (batch, sent_len, d_w + 2 d_p) for an EncodedCorpus or a list of EncodedInstance.
 

@@ -17,6 +17,8 @@ the stage output. Depth x counts conv layers only: 1 entry conv plus
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -228,8 +230,9 @@ def predict_proba(model, instances, chunk=256):
 
     ``instances`` is an EncodedCorpus or a list of EncodedInstance; each
     chunk of ``chunk`` rows is one forward pass. Runs without building an
-    autodiff graph.
+    autodiff graph, on a steady heap (``autodiff.steady_heap``).
     """
+    ad.steady_heap()
     rows = []
     with ad.no_grad():
         for start in range(0, len(instances), chunk):
@@ -292,18 +295,32 @@ def _manifest(model):
 
 
 def save_checkpoint(model, path):
+    """Write ``model`` to ``path``, replacing any file there in one step.
+
+    The bytes go to a temporary file in the same directory, which is
+    renamed over ``path`` only once it is complete. A save that raises or
+    is interrupted removes the temporary file and leaves the previous
+    checkpoint as it was.
+    """
     manifest = _manifest(model).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(struct.pack("<Q", len(manifest)))
-        handle.write(manifest)
-        for name, tensor in model.params.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<Q", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<Q", tensor.data.ndim))
-            for dim in tensor.data.shape:
-                handle.write(struct.pack("<Q", dim))
-            handle.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(struct.pack("<Q", len(manifest)))
+            handle.write(manifest)
+            for name, tensor in model.params.items():
+                encoded = name.encode("utf-8")
+                handle.write(struct.pack("<Q", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack("<Q", tensor.data.ndim))
+                for dim in tensor.data.shape:
+                    handle.write(struct.pack("<Q", dim))
+                handle.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(handle, count, what):

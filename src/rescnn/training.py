@@ -101,8 +101,10 @@ def train(model, corpus, cfg):
     dropped). Each epoch reshuffles with a generator keyed on (seed,
     SHUFFLE_TAG, epoch); dropout masks come from (seed, DROPOUT_TAG). A
     non-finite loss aborts with TrainingDivergence naming the step. The PAD
-    embedding row is excluded from updates.
+    embedding row is excluded from updates. Fixes the process's allocator
+    thresholds first (``autodiff.steady_heap``).
     """
+    ad.steady_heap()
     if not corpus:
         raise DataError("training corpus is empty")
     encoded, rejected = encode_corpus(corpus, model.vocab, model.config.embedding, model.schema)

@@ -41,6 +41,29 @@ class TestTensor:
         assert (t.grad == 0).all()
 
 
+class TestLazyGradients:
+    def test_op_output_has_no_buffer_before_backward(self):
+        t = tensor([-1.0, 2.0], requires_grad=True)
+        out = ad.relu(t)
+        assert out._grad is None
+        np.testing.assert_array_equal(out.grad, [0.0, 0.0])
+        assert out.grad is out.grad
+
+    def test_leaves_and_parameters_keep_eager_buffers(self):
+        t = tensor([1.0, 2.0], requires_grad=True)
+        assert t._grad is not None
+        assert ad.relu(tensor([1.0]))._grad is None
+
+    def test_concat_slices_are_copied(self):
+        a = ad.relu(tensor([1.0, 2.0], requires_grad=True))
+        b = ad.relu(tensor([3.0], requires_grad=True))
+        out = ad.concat([a, b])
+        out.grad[...] = [1.0, 2.0, 3.0]
+        out._backward()
+        a.grad += 1.0
+        np.testing.assert_array_equal(out.grad, [1.0, 2.0, 3.0])
+
+
 class TestBackward:
     def test_loss_must_be_scalar(self):
         t = tensor([1.0, 2.0], requires_grad=True)
@@ -145,6 +168,17 @@ class TestAdd:
         ad.backward(ad.sum_all(ad.add(a, b)))
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_intermediate_parents_get_distinct_buffers(self):
+        t = tensor([1.0, 2.0], requires_grad=True)
+        a, b = ad.relu(t), ad.dropout(t, 0.5, "test")
+        out = ad.add(a, b)
+        out.grad[...] = [3.0, 4.0]
+        out._backward()
+        assert a.grad is not b.grad and a.grad is not out.grad
+        a.grad += 10.0
+        np.testing.assert_array_equal(b.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(out.grad, [3.0, 4.0])
 
 
 class TestConv1d:
@@ -301,6 +335,28 @@ class TestLookup:
         table = tensor(np.zeros((3, 2)), requires_grad=True)
         ad.backward(ad.sum_all(ad.lookup(table, [1, 1, 2])))
         np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+
+    @staticmethod
+    def _add_at_oracle(rows, width, idx, upstream):
+        want = np.zeros((rows, width))
+        np.add.at(want, idx, upstream)
+        return want
+
+    @pytest.mark.parametrize("width", [1, 5, 50])
+    @pytest.mark.parametrize("idx_shape", [(64, 30), (7,), (0,), (0, 30)])
+    def test_scatter_equals_add_at_bit_for_bit(self, width, idx_shape):
+        rng = np.random.default_rng(width * 100 + len(idx_shape))
+        rows = 61
+        # ids skew toward PAD (0) and a few hot rows, so most rows repeat
+        idx = np.where(rng.random(idx_shape) < 0.3, 0, rng.integers(0, 8, idx_shape))
+        idx = np.where(rng.random(idx_shape) < 0.2, rng.integers(0, rows, idx_shape), idx)
+        table = tensor(rng.normal(size=(rows, width)), requires_grad=True)
+        out = ad.lookup(table, idx)
+        upstream = rng.normal(size=out.data.shape) * 10.0 ** rng.integers(-8, 8, out.data.shape)
+        out.grad[...] = upstream
+        out._backward()
+        want = self._add_at_oracle(rows, width, idx, upstream)
+        assert table.grad.tobytes() == want.tobytes()
 
     def test_out_of_range_names_the_offender(self):
         table = tensor(np.zeros((3, 2)))

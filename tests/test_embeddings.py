@@ -336,8 +336,8 @@ class TestEmbed:
         v = em.Vocabulary(["a", "b"])
         word, pos1, pos2 = self._tables(v)
         enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        out = em.embed(word, pos1, pos2, enc)
-        assert out.data.shape == (SMALL.sent_len, SMALL.concat_dim)
+        out = em.embed_batch(word, pos1, pos2, [enc])
+        assert out.data.shape == (1, SMALL.sent_len, SMALL.concat_dim)
 
     def test_batch_stacks_instances(self):
         v = em.Vocabulary(["a", "b"])
@@ -351,7 +351,7 @@ class TestEmbed:
         v = em.Vocabulary(["a", "b"])
         word, pos1, pos2 = self._tables(v)
         enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        out = em.embed(word, pos1, pos2, enc).data
+        out = em.embed_batch(word, pos1, pos2, [enc]).data[0]
         np.testing.assert_array_equal(out[0, : SMALL.word_dim], word.data[enc.token_ids[0]])
         np.testing.assert_array_equal(out[0, SMALL.word_dim : SMALL.word_dim + SMALL.pos_dim],
                                       pos1.data[enc.pos1_ids[0]])
@@ -361,9 +361,9 @@ class TestEmbed:
         word, pos1, _ = self._tables(v)
         enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
         with pytest.raises(ValueError):
-            em.embed(word, pos1, pos1, enc)
-        with pytest.raises(ValueError):
             em.embed_batch(word, pos1, pos1, [enc])
+        with pytest.raises(ValueError):
+            em.embed_batch(word, pos1, pos1, [enc, enc])
 
     def test_gradients_reach_all_three_tables(self):
         v = em.Vocabulary(["a", "b"])

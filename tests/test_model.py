@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -319,6 +321,44 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="non-finite"):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()])
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch, exc):
+        path = tmp_path / "ck.bin"
+        md.save_checkpoint(self._model(seed=5), path)
+        before = path.read_bytes()
+
+        class FailingWriter:
+            """Passes the first three writes through, then raises."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:
+                    raise exc
+                return self.handle.write(data)
+
+        monkeypatch.setattr(md, "open", lambda *a, **k: FailingWriter(open(*a, **k)), raising=False)
+        with pytest.raises(type(exc)):
+            md.save_checkpoint(self._model(seed=6), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+    def test_save_replaces_an_existing_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        md.save_checkpoint(self._model(seed=5), path)
+        md.save_checkpoint(self._model(seed=6), path)
+        assert md.load_checkpoint(path).seed == 6
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
 
 class TestZeroPadRowGrad:

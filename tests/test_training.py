@@ -1,8 +1,12 @@
+import resource
+
 import numpy as np
 import pytest
 
+from rescnn import autodiff as ad
 from rescnn import dataset as ds
 from rescnn import embeddings as em
+from rescnn import experiments as ex
 from rescnn import model as md
 from rescnn import training as tr
 from rescnn.errors import DataError, TrainingDivergence
@@ -249,3 +253,50 @@ class TestMetricsHelpers:
         labels = np.array([inst.label for inst in encoded])
         expected = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
         assert tr.loss_on(model, encoded) == pytest.approx(expected, rel=1e-9)
+
+
+def ladder_rung(lcfg, variant, conv_layers, train, seed=0):
+    """A ladder-shape model for one rung, as ``experiments.run_rung`` builds it."""
+    schema = ds.synth_schema(lcfg.synth(seed))
+    mcfg = md.ModelConfig(
+        variant=variant,
+        conv_layers=conv_layers,
+        window=lcfg.window,
+        filters=lcfg.filters,
+        fc_widths=md.default_fc_widths(variant, lcfg.filters, schema.num_relations),
+        keep_prob=lcfg.keep_prob,
+        num_relations=schema.num_relations,
+        embedding=lcfg.embedding(),
+    )
+    return md.build_model(mcfg, seed=seed, vocab=em.Vocabulary.from_corpus(train), schema=schema)
+
+
+class TestLadderShape:
+    def test_one_epoch_final_losses_are_pinned(self):
+        # the final step loss of each rung after one epoch at seed 0; any
+        # change in the arithmetic of a step moves at least one of them
+        lcfg = ex.LadderConfig(epochs=1)
+        train, _, _ = ds.synth_generate(lcfg.synth(0))
+        cfg = tr.TrainConfig(batch_size=lcfg.batch_size, learning_rate=lcfg.learning_rate, epochs=1, seed=0)
+        final = {name: tr.train(ladder_rung(lcfg, variant, layers, train), train, cfg).final_loss
+                 for name, variant, layers in ex.RUNGS}
+        assert final == {"rescnn_9": 1.9370079388631574, "cnn_9": 1.87669684470916, "cnn_5": 1.879847612385703}
+
+    def test_steady_heap_steps_take_few_page_faults(self, monkeypatch):
+        ad.steady_heap()
+        if not ad._mallopt:
+            pytest.skip("the C library has no mallopt")
+        lcfg = ex.LadderConfig(num_train=11 * 64)
+        train, _, _ = ds.synth_generate(lcfg.synth(0))
+        faults = []
+        adam_step = ad.adam_step
+
+        def counted(*args):
+            adam_step(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        monkeypatch.setattr(ad, "adam_step", counted)
+        tr.train(ladder_rung(lcfg, "rescnn_x", 9, train), train, tr.TrainConfig(epochs=1, seed=0))
+        per_step = np.diff(faults)  # per_step[i] is step i + 2
+        assert len(per_step) >= 9
+        assert (per_step[1:9] < 200).all(), per_step[1:9]
