@@ -10,6 +10,12 @@ and is freed by reference counting as soon as the caller drops the loss.
 Inside ``no_grad()`` ops record nothing and return plain leaves, which is how
 inference runs.
 
+The structured ops take batch-first inputs only, in the layout the models
+run from embedding to loss: ``conv1d`` and ``max_over_time`` take (batch, seq,
+channels), ``affine`` takes (batch, in), and ``softmax_cross_entropy`` takes
+(batch, K) logits with a length-batch label vector. One sentence is a batch
+of one. Any other rank raises ShapeError.
+
 Gradient buffers are lazy for op outputs. Leaves and parameters get a zero
 ``grad`` at construction, because ``zero_grad`` and Adam read it. An op
 output gets one on its first accumulation: an array the backward closure
@@ -345,29 +351,25 @@ def lookup(table, indices):
 
 
 def affine(x, weight, bias):
-    """x @ W + b for x of shape (in,) or (batch, in)."""
+    """x @ W + b for x of shape (batch, in)."""
     if weight.data.ndim != 2:
         raise ShapeError(f"affine weight must be 2-D, got shape {weight.data.shape}")
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"affine input must be 1-D or 2-D, got shape {x.data.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"affine input must be 2-D (batch, in), got shape {x.data.shape}")
     in_dim, out_dim = weight.data.shape
     if x.data.shape[-1] != in_dim:
         raise ShapeError(f"affine: input shape {x.data.shape} does not match weight shape {weight.data.shape}")
     if bias.data.shape != (out_dim,):
         raise ShapeError(f"affine: bias shape {bias.data.shape} does not match weight shape {weight.data.shape}")
-    batched = x.data.ndim == 2
-    xd = x.data if batched else x.data[None, :]
-    data = xd @ weight.data + bias.data
-    out = _result(data if batched else data[0], (x, weight, bias))
+    out = _result(x.data @ weight.data + bias.data, (x, weight, bias))
     if out.requires_grad:
 
         def _bw():
-            g = out.grad if batched else out.grad[None, :]
+            g = out.grad
             if x.requires_grad:
-                gx = g @ weight.data.T
-                _accumulate(x, gx if batched else gx[0], fresh=True)
+                _accumulate(x, g @ weight.data.T, fresh=True)
             if weight.requires_grad:
-                _accumulate(weight, xd.T @ g, fresh=True)  # outer(x, g) summed over the batch
+                _accumulate(weight, x.data.T @ g, fresh=True)  # outer(x, g) summed over the batch
             if bias.requires_grad:
                 _accumulate(bias, g.sum(axis=0), fresh=True)
 
@@ -419,39 +421,35 @@ def _conv_kernel_grad(g, xp):
 def conv1d(x, kernel, bias, padding="valid"):
     """1-D convolution over the sequence axis.
 
-    ``x`` is (seq, in_ch) or (batch, seq, in_ch); ``kernel`` is
-    (width, in_ch, out_ch); ``bias`` is (out_ch,). Valid mode yields
-    seq - width + 1 output rows; same mode zero-pads back to seq rows with
-    the extra zero on the right when the width is even. The output is
-    linear; activations are applied separately.
+    ``x`` is (batch, seq, in_ch); ``kernel`` is (width, in_ch, out_ch);
+    ``bias`` is (out_ch,). Valid mode yields seq - width + 1 output rows;
+    same mode zero-pads back to seq rows with the extra zero on the right
+    when the width is even. The output is linear; activations are applied
+    separately.
     """
     if kernel.data.ndim != 3:
         raise ShapeError(f"conv1d kernel must be 3-D (width, in_ch, out_ch), got shape {kernel.data.shape}")
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"conv1d input must be 2-D or 3-D, got shape {x.data.shape}")
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv1d input must be 3-D (batch, seq, in_ch), got shape {x.data.shape}")
     width, in_ch, out_ch = kernel.data.shape
     if x.data.shape[-1] != in_ch:
         raise ShapeError(f"conv1d: input shape {x.data.shape} does not match kernel shape {kernel.data.shape}")
     if bias.data.shape != (out_ch,):
         raise ShapeError(f"conv1d: bias shape {bias.data.shape} does not match kernel shape {kernel.data.shape}")
-    batched = x.data.ndim == 3
-    xd = x.data if batched else x.data[None]
-    seq_len = xd.shape[1]
+    batch, seq_len, _ = x.data.shape
     left, right = _conv_pad(width, padding, seq_len)
     if left or right:
-        xp = np.zeros((xd.shape[0], left + seq_len + right, in_ch))
-        xp[:, left : left + seq_len] = xd
+        xp = np.zeros((batch, left + seq_len + right, in_ch))
+        xp[:, left : left + seq_len] = x.data
     else:
-        xp = xd
-    data = _conv_forward(xp, kernel.data, bias.data)
-    out = _result(data if batched else data[0], (x, kernel, bias))
+        xp = x.data
+    out = _result(_conv_forward(xp, kernel.data, bias.data), (x, kernel, bias))
     if out.requires_grad:
 
         def _bw():
-            g = out.grad if batched else out.grad[None]
+            g = out.grad
             if x.requires_grad:
-                gx = _conv_input_grad(g, kernel.data, xp.shape, left, seq_len)
-                _accumulate(x, gx if batched else gx[0], fresh=True)
+                _accumulate(x, _conv_input_grad(g, kernel.data, xp.shape, left, seq_len), fresh=True)
             if kernel.requires_grad:
                 _accumulate(kernel, _conv_kernel_grad(g, xp), fresh=True)
             if bias.requires_grad:
@@ -462,66 +460,57 @@ def conv1d(x, kernel, bias, padding="valid"):
 
 
 def max_over_time(x):
-    """Per-channel maximum over the sequence axis.
+    """Per-channel maximum over the sequence axis of a (batch, seq, ch) input.
 
     Gradient flows only to the first argmax position per channel; ties break
     to the lowest index.
     """
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"max_over_time input must be 2-D or 3-D, got shape {x.data.shape}")
-    batched = x.data.ndim == 3
-    xd = x.data if batched else x.data[None]
-    if xd.shape[1] == 0:
+    if x.data.ndim != 3:
+        raise ShapeError(f"max_over_time input must be 3-D (batch, seq, ch), got shape {x.data.shape}")
+    if x.data.shape[1] == 0:
         raise ShapeError("max_over_time: empty sequence")
-    argmax = np.argmax(xd, axis=1)  # first occurrence wins ties
-    data = np.take_along_axis(xd, argmax[:, None, :], axis=1)[:, 0, :]
-    out = _result(data if batched else data[0], (x,))
+    argmax = np.argmax(x.data, axis=1)  # first occurrence wins ties
+    out = _result(np.take_along_axis(x.data, argmax[:, None, :], axis=1)[:, 0, :], (x,))
     if out.requires_grad:
-        b_ix = np.arange(xd.shape[0])[:, None]
-        c_ix = np.arange(xd.shape[2])[None, :]
+        b_ix = np.arange(x.data.shape[0])[:, None]
+        c_ix = np.arange(x.data.shape[2])[None, :]
 
         def _bw():
-            g = out.grad if batched else out.grad[None]
-            gx = np.zeros_like(xd)
-            gx[b_ix, argmax, c_ix] = g
-            _accumulate(x, gx if batched else gx[0], fresh=True)
+            gx = np.zeros_like(x.data)
+            gx[b_ix, argmax, c_ix] = out.grad
+            _accumulate(x, gx, fresh=True)
 
         out._backward = _bw
     return out
 
 
 def softmax_cross_entropy(logits, labels):
-    """-log softmax(logits)[label], max-shifted for stability.
+    """Per-row -log softmax(logits)[label], max-shifted for stability.
 
-    1-D logits with an int label give a scalar loss; (batch, K) logits with
-    a length-batch label vector give per-row losses. The gradient of each
+    ``logits`` is (batch, K) and ``labels`` a length-batch vector of class
+    ids; the result is the (batch,) vector of losses. The gradient of each
     row is softmax(logits) - one_hot(label), scaled by the upstream grad.
     """
-    if logits.data.ndim not in (1, 2):
-        raise ShapeError(f"logits must be 1-D or 2-D, got shape {logits.data.shape}")
-    batched = logits.data.ndim == 2
-    ld = logits.data if batched else logits.data[None, :]
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n_rows, n_classes = ld.shape
+    if logits.data.ndim != 2:
+        raise ShapeError(f"logits must be 2-D (batch, K), got shape {logits.data.shape}")
+    lab = np.asarray(labels, dtype=np.int64)
+    n_rows, n_classes = logits.data.shape
     if lab.shape != (n_rows,):
         raise ShapeError(f"labels shape {lab.shape} does not match logits shape {logits.data.shape}")
     bad = (lab < 0) | (lab >= n_classes)
     if bad.any():
         raise IndexError(f"label {int(lab[bad][0])} out of range for {n_classes} classes")
-    shift = ld - ld.max(axis=1, keepdims=True)
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
     expd = np.exp(shift)
     expd_sum = expd.sum(axis=1)
-    losses = np.log(expd_sum) - shift[np.arange(n_rows), lab]
-    out = _result(losses if batched else np.asarray(losses[0]), (logits,))
+    out = _result(np.log(expd_sum) - shift[np.arange(n_rows), lab], (logits,))
     if out.requires_grad:
         probs = expd / expd_sum[:, None]
 
         def _bw():
             gmat = probs.copy()
             gmat[np.arange(n_rows), lab] -= 1.0
-            g = out.grad.reshape(-1)
-            glogits = gmat * g[:, None]
-            _accumulate(logits, glogits if batched else glogits[0], fresh=True)
+            _accumulate(logits, gmat * out.grad[:, None], fresh=True)
 
         out._backward = _bw
     return out

@@ -13,8 +13,6 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from . import autodiff as ad
 from . import dataset as ds
 from . import embeddings as em
@@ -290,15 +288,15 @@ def _toy_gradcheck_setup(variant, seed):
         ("t7 t6 t5 t4 t3 t2 t1", 0, 3, 2),
         ("t2 t2 t4 t4 t6 t6 t0", 2, 6, 0),
     )
-    batch = [
-        em.encode_instance(text.split(), e1, e2, label, vocab, ecfg)
+    rows = [
+        ds.CorpusInstance(tuple(text.split()), e1, e2, e1_id="", e2_id="", relation=schema.labels[label])
         for text, e1, e2, label in sentences
     ]
-    labels = np.array([inst.label for inst in batch])
+    batch, _ = em.encode_corpus(rows, vocab, ecfg, schema)
 
     def build():
         logits = md.forward(model, batch, mode="test")
-        return ad.mean(ad.softmax_cross_entropy(logits, labels)), model.params
+        return ad.mean(ad.softmax_cross_entropy(logits, batch.labels)), model.params
 
     return build
 

@@ -7,8 +7,10 @@ that entity. ``encode_corpus`` encodes a whole corpus at once into an
 row's entity pair as an index into a table of distinct pairs. Slicing or
 indexing it by rows gives another ``EncodedCorpus``, and iterating it gives
 one ``EncodedInstance`` per row. ``embed_batch`` gathers the three tables for
-a batch and concatenates along the feature axis, giving each token a
-d_w + 2 d_p feature vector.
+an ``EncodedCorpus`` batch and concatenates along the feature axis, giving a
+(batch, sent_len, d_w + 2 d_p) tensor; the model entry points take an
+``EncodedCorpus`` too. ``encode_instance`` encodes one sentence row by row
+and is the reference that ``encode_corpus`` is tested against.
 """
 
 from __future__ import annotations
@@ -131,21 +133,6 @@ class EncodedCorpus:
     pairs: tuple
     original_lengths: np.ndarray
 
-    @classmethod
-    def from_instances(cls, instances):
-        """Stack a non-empty sequence of EncodedInstance rows."""
-        index = {}
-        pair_index = [index.setdefault(tuple(e.pair_key), len(index)) for e in instances]
-        return cls(
-            token_ids=np.stack([e.token_ids for e in instances]),
-            pos1_ids=np.stack([e.pos1_ids for e in instances]),
-            pos2_ids=np.stack([e.pos2_ids for e in instances]),
-            labels=np.array([e.label for e in instances], dtype=np.int64),
-            pair_index=np.array(pair_index, dtype=np.int64),
-            pairs=tuple(index),
-            original_lengths=np.array([e.original_length for e in instances], dtype=np.int64),
-        )
-
     def __len__(self):
         return len(self.labels)
 
@@ -176,13 +163,6 @@ class EncodedCorpus:
     def pair_keys(self):
         """Each row's (e1_id, e2_id) key, in row order."""
         return [self.pairs[i] for i in self.pair_index.tolist()]
-
-
-def as_corpus(encoded):
-    """``encoded`` as an EncodedCorpus; a list of EncodedInstance is stacked."""
-    if isinstance(encoded, EncodedCorpus):
-        return encoded
-    return EncodedCorpus.from_instances(encoded)
 
 
 def relative_position(index, entity_index, cfg):
@@ -360,14 +340,13 @@ def _is_int(text):
 
 
 def embed_batch(word_table, pos1_table, pos2_table, batch):
-    """Features (batch, sent_len, d_w + 2 d_p) for an EncodedCorpus or a list of EncodedInstance.
+    """Features (batch, sent_len, d_w + 2 d_p) for an EncodedCorpus ``batch``.
 
     The two position tables must be distinct tensors; sharing one object
     would silently merge head and tail distance meanings.
     """
     if pos1_table is pos2_table:
         raise ValueError("pos1 and pos2 require distinct embedding tables")
-    batch = as_corpus(batch)
     return ad.concat(
         [
             ad.lookup(word_table, batch.token_ids),

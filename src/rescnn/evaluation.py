@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as md
 from .dataset import NA_LABEL
-from .embeddings import as_corpus, encode_corpus
+from .embeddings import encode_corpus
 from .errors import DataError
 
 
@@ -66,27 +66,25 @@ def encode_gold(gold, schema):
 def collect_predictions(model, encoded):
     """Max-aggregated positive-relation candidates, best first.
 
-    ``encoded`` is an EncodedCorpus or a list of EncodedInstance. Every
-    instance contributes a score for each positive relation; per (pair,
-    relation) the highest-scoring supporting sentence wins (earliest index
-    on exact ties). Sorting is by descending score with the pair key and
+    ``encoded`` is an EncodedCorpus. Every sentence contributes a score for
+    each positive relation; per (pair, relation) the highest-scoring
+    supporting sentence wins (earliest index on exact ties). Sorting is by descending score with the pair key and
     relation id breaking exact score ties.
     """
     if not encoded:
         return []
     probs = md.predict_proba(model, encoded)
-    corpus = as_corpus(encoded)
     positive = model.schema.num_relations - 1
     # flat index f is sentence f // positive and relation f % positive + 1
     score = probs[:, 1:].ravel()
-    code = (corpus.pair_index[:, None] * positive + np.arange(positive)).ravel()
+    code = (encoded.pair_index[:, None] * positive + np.arange(positive)).ravel()
     # per (pair, relation) code: best score first, earliest sentence on an exact tie
     by_code = np.lexsort((np.arange(len(code)), -score, code))
     grouped = code[by_code]
     best = by_code[np.r_[True, grouped[1:] != grouped[:-1]]]
     sentence, rid = np.divmod(best, positive)
-    pair = corpus.pair_index[sentence]
-    pairs = corpus.pairs
+    pair = encoded.pair_index[sentence]
+    pairs = encoded.pairs
     pair_rank = np.empty(len(pairs), dtype=np.int64)
     pair_rank[sorted(range(len(pairs)), key=pairs.__getitem__)] = np.arange(len(pairs))
     order = np.lexsort((rid, pair_rank[pair], -score[best]))

@@ -197,8 +197,8 @@ def build_model(config, seed, vocab, schema, word_table=None):
     return Model(config, vocab, schema, params, seed)
 
 
-def forward(model, instances, mode="test", rng=None):
-    """Logits (batch, num_relations) for an EncodedCorpus or a list of EncodedInstance.
+def forward(model, batch, mode="test", rng=None):
+    """Logits (batch, num_relations) for an EncodedCorpus ``batch``.
 
     ``mode`` controls dropout: train masks with ``rng``, test rescales by
     keep_prob so expected pre-activations match.
@@ -207,11 +207,11 @@ def forward(model, instances, mode="test", rng=None):
         raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
     if mode == "train" and rng is None:
         raise ValueError("train mode needs an rng for dropout")
-    if not instances:
+    if not batch:
         raise ValueError("forward needs at least one instance")
     cfg = model.config
     p = model.params
-    x = em.embed_batch(p["word_emb"], p["pos1_emb"], p["pos2_emb"], instances)
+    x = em.embed_batch(p["word_emb"], p["pos1_emb"], p["pos2_emb"], batch)
     c = ad.relu(ad.conv1d(x, p["conv0_kernel"], p["conv0_bias"], padding="valid"))
     for b in range(cfg.num_blocks):
         h1 = ad.relu(ad.conv1d(c, p[f"block{b}_conv1_kernel"], p[f"block{b}_conv1_bias"], padding="same"))
@@ -225,18 +225,18 @@ def forward(model, instances, mode="test", rng=None):
     return ad.affine(z, p[f"fc{last}_weight"], p[f"fc{last}_bias"])
 
 
-def predict_proba(model, instances, chunk=256):
-    """Softmax class probabilities (len(instances), num_relations).
+def predict_proba(model, encoded, chunk=256):
+    """Softmax class probabilities (len(encoded), num_relations).
 
-    ``instances`` is an EncodedCorpus or a list of EncodedInstance; each
-    chunk of ``chunk`` rows is one forward pass. Runs without building an
-    autodiff graph, on a steady heap (``autodiff.steady_heap``).
+    ``encoded`` is an EncodedCorpus; each chunk of ``chunk`` rows is one
+    forward pass. Runs without building an autodiff graph, on a steady heap
+    (``autodiff.steady_heap``).
     """
     ad.steady_heap()
     rows = []
     with ad.no_grad():
-        for start in range(0, len(instances), chunk):
-            logits = forward(model, instances[start : start + chunk], mode="test").data
+        for start in range(0, len(encoded), chunk):
+            logits = forward(model, encoded[start : start + chunk], mode="test").data
             shift = logits - logits.max(axis=1, keepdims=True)
             expd = np.exp(shift)
             rows.append(expd / expd.sum(axis=1, keepdims=True))
@@ -384,6 +384,8 @@ def load_checkpoint(path):
         except ValueError as exc:
             raise DataError(f"malformed manifest value: {exc}") from None
         schema = RelationSchema(labels)
+        if schema.num_relations != config.num_relations:
+            raise DataError(f"manifest lists {schema.num_relations} labels but num_relations={config.num_relations}")
         if vocab_tokens[: len(em._RESERVED)] != list(em._RESERVED):
             raise DataError("vocabulary must start with the reserved PAD and UNK tokens")
         vocab = em.Vocabulary(vocab_tokens[len(em._RESERVED) :])
@@ -392,9 +394,13 @@ def load_checkpoint(path):
             raise DataError(f"parameter list {param_names} does not match the architecture")
         params = {}
         for name in param_names:
+            # compared as bytes: a stored name that is not UTF-8 or has an absurd length is never decoded or read
+            expected_name = name.encode("utf-8")
             name_len = _read_u64(handle, "parameter name length")
-            stored = _read_exact(handle, name_len, "parameter name").decode("utf-8")
-            if stored != name:
+            if name_len != len(expected_name):
+                raise DataError(f"parameter record has a {name_len}-byte name, expected {name!r}")
+            stored = _read_exact(handle, name_len, "parameter name")
+            if stored != expected_name:
                 raise DataError(f"parameter record {stored!r} out of order, expected {name!r}")
             rank = _read_u64(handle, f"rank of {name}")
             shape = tuple(_read_u64(handle, f"dim of {name}") for _ in range(rank))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .embeddings import as_corpus, encode_corpus
+from .embeddings import encode_corpus
 from .errors import DataError, NumericsError, TrainingDivergence
 
 SHUFFLE_TAG = 101
@@ -72,10 +72,9 @@ def _batch_loss(model, batch, mode, rng):
 
 
 def loss_on(model, encoded, chunk=256):
-    """Mean test-mode cross-entropy over already-encoded instances."""
+    """Mean test-mode cross-entropy over an EncodedCorpus."""
     if not encoded:
         raise DataError("cannot evaluate loss on an empty set")
-    encoded = as_corpus(encoded)
     total = 0.0
     with ad.no_grad():
         for start in range(0, len(encoded), chunk):
@@ -85,10 +84,9 @@ def loss_on(model, encoded, chunk=256):
 
 
 def accuracy_on(model, encoded, chunk=256):
-    """Fraction of instances whose argmax class matches the label."""
+    """Fraction of the rows of an EncodedCorpus whose argmax class matches the label."""
     if not encoded:
         raise DataError("cannot evaluate accuracy on an empty set")
-    encoded = as_corpus(encoded)
     probs = md.predict_proba(model, encoded, chunk=chunk)
     hits = int((probs.argmax(axis=1) == encoded.labels).sum())
     return hits / len(encoded)

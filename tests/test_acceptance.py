@@ -60,8 +60,9 @@ class TestIdentityShortcut:
         shallow = md.build_model(shallow_cfg, seed=12, vocab=vocab, schema=schema)
         for name, param in shallow.params.items():
             param.data[...] = deep.params[name].data
-        batch = [em.encode_instance([f"t{(i + j) % 12}" for j in range(9)],
-                                    0, 4, i % 4, vocab, ecfg) for i in range(5)]
+        rows = [ds.CorpusInstance(tuple(f"t{(i + j) % 12}" for j in range(9)), 0, 4, "", "",
+                                  schema.labels[i % 4]) for i in range(5)]
+        batch, _ = em.encode_corpus(rows, vocab, ecfg, schema)
         diff = np.abs(md.forward(deep, batch).data - md.forward(shallow, batch).data).max()
         report("identity shortcut", diff <= 1e-12, f"max |logit diff| {diff:.3e} <= 1e-12")
 
@@ -78,8 +79,9 @@ class TestDropoutEquivalence:
                               fc_widths=(4, 4, 3), keep_prob=0.5, num_relations=3,
                               embedding=ecfg)
         model = md.build_model(mcfg, seed=1, vocab=vocab, schema=schema)
-        batch = [em.encode_instance([f"t{(i + j) % 8}" for j in range(6)],
-                                    0, 3, 1, vocab, ecfg) for i in range(3)]
+        rows = [ds.CorpusInstance(tuple(f"t{(i + j) % 8}" for j in range(6)), 0, 3, "", "",
+                                  schema.labels[1]) for i in range(3)]
+        batch, _ = em.encode_corpus(rows, vocab, ecfg, schema)
         expected = md.forward(model, batch, mode="test").data
         draws = 10_000
         rng = np.random.default_rng((1, 42))

@@ -183,45 +183,45 @@ class TestAdd:
 
 class TestConv1d:
     def test_same_padding_contract_example(self):
-        x = tensor([[1.0], [2.0], [3.0], [4.0]])
+        x = tensor([[[1.0], [2.0], [3.0], [4.0]]])
         kernel = tensor(np.ones((3, 1, 1)))
         out = ad.conv1d(x, kernel, tensor([0.0]), padding="same")
         np.testing.assert_array_equal(out.data.ravel(), [3.0, 6.0, 9.0, 7.0])
 
     def test_valid_padding_shrinks_sequence(self):
-        x = tensor([[1.0], [2.0], [3.0], [4.0]])
+        x = tensor([[[1.0], [2.0], [3.0], [4.0]]])
         kernel = tensor(np.ones((3, 1, 1)))
         out = ad.conv1d(x, kernel, tensor([0.0]), padding="valid")
         np.testing.assert_array_equal(out.data.ravel(), [6.0, 9.0])
 
     def test_even_width_same_pads_extra_zero_on_the_right(self):
-        x = tensor([[1.0], [2.0], [3.0]])
+        x = tensor([[[1.0], [2.0], [3.0]]])
         kernel = tensor(np.ones((2, 1, 1)))
         out = ad.conv1d(x, kernel, tensor([0.0]), padding="same")
         np.testing.assert_array_equal(out.data.ravel(), [3.0, 5.0, 3.0])
 
     def test_valid_window_longer_than_sequence_raises(self):
-        x = tensor(np.ones((2, 1)))
+        x = tensor(np.ones((1, 2, 1)))
         kernel = tensor(np.ones((3, 1, 1)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="exceeds sequence length"):
             ad.conv1d(x, kernel, tensor([0.0]), padding="valid")
 
     def test_channel_mismatch_raises(self):
-        x = tensor(np.ones((4, 2)))
+        x = tensor(np.ones((1, 4, 2)))
         kernel = tensor(np.ones((3, 3, 1)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="does not match kernel"):
             ad.conv1d(x, kernel, tensor([0.0]))
 
     def test_bias_shape_checked(self):
-        x = tensor(np.ones((4, 1)))
+        x = tensor(np.ones((1, 4, 1)))
         kernel = tensor(np.ones((3, 1, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="bias shape"):
             ad.conv1d(x, kernel, tensor([0.0]))
 
     def test_bad_padding_name_raises(self):
-        x = tensor(np.ones((4, 1)))
+        x = tensor(np.ones((1, 4, 1)))
         kernel = tensor(np.ones((3, 1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="padding"):
             ad.conv1d(x, kernel, tensor([0.0]), padding="reflect")
 
     def test_batched_matches_per_sentence(self):
@@ -231,8 +231,8 @@ class TestConv1d:
         bias = tensor(rng.normal(size=4))
         batched = ad.conv1d(tensor(x), kernel, bias, padding="same").data
         for i in range(3):
-            single = ad.conv1d(tensor(x[i]), kernel, bias, padding="same").data
-            np.testing.assert_allclose(batched[i], single)
+            single = ad.conv1d(tensor(x[i : i + 1]), kernel, bias, padding="same").data
+            np.testing.assert_allclose(batched[i : i + 1], single)
 
     @staticmethod
     def _kernel_grad_reference(x, g, width, padding):
@@ -263,16 +263,17 @@ class TestConv1d:
     def test_kernel_grad_matches_sum_over_windows(self, shape, width, padding):
         rng = np.random.default_rng(width + len(shape))
         x = rng.normal(size=shape)
+        if x.ndim == 2:
+            x = x[None]  # one sentence is a batch of one
         kernel = tensor(rng.normal(size=(width, shape[-1], 4)), requires_grad=True)
         out = ad.conv1d(tensor(x), kernel, tensor(np.zeros(4)), padding=padding)
         upstream = rng.normal(size=out.data.shape)
         out.grad[...] = upstream
         out._backward()
-        batched = x if x.ndim == 3 else x[None]
-        want = self._kernel_grad_reference(batched, upstream.reshape(len(batched), -1, 4), width, padding)
+        want = self._kernel_grad_reference(x, upstream, width, padding)
         np.testing.assert_allclose(kernel.grad, want, rtol=1e-12, atol=1e-12)
 
-    @given(small_arrays((5, 2)), st.floats(-2, 2, allow_nan=False))
+    @given(small_arrays((1, 5, 2)), st.floats(-2, 2, allow_nan=False))
     def test_linearity_in_input(self, x, scale):
         kernel = tensor(np.arange(6.0).reshape(3, 2, 1) / 6.0)
         bias = tensor([0.0])
@@ -283,18 +284,18 @@ class TestConv1d:
 
 class TestMaxOverTime:
     def test_picks_per_channel_maxima(self):
-        x = tensor([[1.0, 5.0], [3.0, 2.0], [2.0, 4.0]])
+        x = tensor([[[1.0, 5.0], [3.0, 2.0], [2.0, 4.0]]])
         out = ad.max_over_time(x)
-        np.testing.assert_array_equal(out.data, [3.0, 5.0])
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
     def test_tie_routes_gradient_to_first_index(self):
-        x = tensor([[2.0], [2.0], [1.0]], requires_grad=True)
+        x = tensor([[[2.0], [2.0], [1.0]]], requires_grad=True)
         ad.backward(ad.sum_all(ad.max_over_time(x)))
         np.testing.assert_array_equal(x.grad.ravel(), [1.0, 0.0, 0.0])
 
     def test_empty_sequence_raises(self):
-        with pytest.raises(ShapeError):
-            ad.max_over_time(tensor(np.zeros((0, 3))))
+        with pytest.raises(ShapeError, match="empty sequence"):
+            ad.max_over_time(tensor(np.zeros((1, 0, 3))))
 
     def test_batched_gradient_is_one_hot_per_row_channel(self):
         rng = np.random.default_rng(42)
@@ -306,8 +307,8 @@ class TestMaxOverTime:
 
 class TestAffine:
     def test_contract_example(self):
-        out = ad.affine(tensor([1.0, 1.0]), tensor([[1.0, 2.0], [3.0, 4.0]]), tensor([0.0, 1.0]))
-        np.testing.assert_array_equal(out.data, [4.0, 7.0])
+        out = ad.affine(tensor([[1.0, 1.0]]), tensor([[1.0, 2.0], [3.0, 4.0]]), tensor([0.0, 1.0]))
+        np.testing.assert_array_equal(out.data, [[4.0, 7.0]])
 
     def test_batched_matches_rows(self):
         rng = np.random.default_rng(42)
@@ -316,13 +317,34 @@ class TestAffine:
         b = tensor(rng.normal(size=2))
         batched = ad.affine(tensor(x), w, b).data
         for i in range(4):
-            np.testing.assert_allclose(batched[i], ad.affine(tensor(x[i]), w, b).data)
+            np.testing.assert_allclose(batched[i : i + 1], ad.affine(tensor(x[i : i + 1]), w, b).data)
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            ad.affine(tensor([1.0, 2.0, 3.0]), tensor([[1.0], [2.0]]), tensor([0.0]))
-        with pytest.raises(ShapeError):
-            ad.affine(tensor([1.0, 2.0]), tensor([[1.0], [2.0]]), tensor([0.0, 0.0]))
+        with pytest.raises(ShapeError, match="does not match weight"):
+            ad.affine(tensor([[1.0, 2.0, 3.0]]), tensor([[1.0], [2.0]]), tensor([0.0]))
+        with pytest.raises(ShapeError, match="bias shape"):
+            ad.affine(tensor([[1.0, 2.0]]), tensor([[1.0], [2.0]]), tensor([0.0, 0.0]))
+
+
+class TestBatchOnly:
+    """The structured ops take the batched layout only; one sentence is a batch of one."""
+
+    @pytest.mark.parametrize(
+        "op, layout",
+        [
+            (lambda: ad.conv1d(tensor(np.ones((4, 2))), tensor(np.ones((3, 2, 1))), tensor([0.0])),
+             r"\(batch, seq, in_ch\)"),
+            (lambda: ad.max_over_time(tensor(np.ones((4, 2)))), r"\(batch, seq, ch\)"),
+            (lambda: ad.affine(tensor([1.0, 1.0]), tensor(np.ones((2, 3))), tensor(np.zeros(3))),
+             r"\(batch, in\)"),
+            (lambda: ad.softmax_cross_entropy(tensor([0.0, 1.0, 2.0]), 1), r"\(batch, K\)"),
+            (lambda: ad.softmax_cross_entropy(tensor([[0.0, 1.0, 2.0]]), 1), "labels shape"),
+        ],
+        ids=["conv1d", "max_over_time", "affine", "softmax_cross_entropy", "scalar_label"],
+    )
+    def test_unbatched_input_raises_shape_error(self, op, layout):
+        with pytest.raises(ShapeError, match=layout):
+            op()
 
 
 class TestLookup:
@@ -416,21 +438,21 @@ class TestDropout:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):
-        loss = ad.softmax_cross_entropy(tensor([0.0, 0.0, 0.0]), 1)
-        assert loss.data.shape == ()
-        np.testing.assert_allclose(float(loss.data), np.log(3.0), rtol=1e-15)
+        loss = ad.softmax_cross_entropy(tensor([[0.0, 0.0, 0.0]]), [1])
+        assert loss.data.shape == (1,)
+        np.testing.assert_allclose(loss.data[0], np.log(3.0), rtol=1e-15)
 
     def test_gradient_is_softmax_minus_one_hot(self):
-        logits = tensor([1.0, 2.0, 0.5], requires_grad=True)
-        ad.backward(ad.softmax_cross_entropy(logits, 2))
+        logits = tensor([[1.0, 2.0, 0.5]], requires_grad=True)
+        ad.backward(ad.softmax_cross_entropy(logits, [2]))
         e = np.exp(logits.data - logits.data.max())
         probs = e / e.sum()
-        probs[2] -= 1.0
+        probs[0, 2] -= 1.0
         np.testing.assert_allclose(logits.grad, probs, rtol=1e-12)
 
     def test_large_logits_stay_finite(self):
-        loss = ad.softmax_cross_entropy(tensor([1000.0, 0.0]), 0)
-        assert float(loss.data) < 1e-10
+        loss = ad.softmax_cross_entropy(tensor([[1000.0, 0.0]]), [0])
+        assert loss.data[0] < 1e-10
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(42)
@@ -438,12 +460,12 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([0, 2, 1, 1])
         batched = ad.softmax_cross_entropy(tensor(logits), labels).data
         for i in range(4):
-            single = ad.softmax_cross_entropy(tensor(logits[i]), int(labels[i])).data
-            np.testing.assert_allclose(batched[i], single)
+            single = ad.softmax_cross_entropy(tensor(logits[i : i + 1]), labels[i : i + 1]).data
+            np.testing.assert_allclose(batched[i : i + 1], single)
 
     def test_label_out_of_range_raises(self):
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy(tensor([0.0, 0.0]), 2)
+            ad.softmax_cross_entropy(tensor([[0.0, 0.0]]), [2])
         with pytest.raises(IndexError):
             ad.softmax_cross_entropy(tensor([[0.0, 0.0]]), [-1])
 
@@ -453,7 +475,7 @@ class TestSoftmaxCrossEntropy:
 
     @given(small_arrays((3,)), st.integers(0, 2))
     def test_loss_is_negative_log_probability(self, logits, label):
-        loss = float(ad.softmax_cross_entropy(tensor(logits), label).data)
+        loss = float(ad.softmax_cross_entropy(tensor(logits[None]), [label]).data[0])
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(loss, -np.log(e[label] / e.sum()), atol=1e-12)
         assert loss >= -1e-12
@@ -550,7 +572,7 @@ class TestFiniteDiffCheck:
         true_fn = ad._conv_input_grad
         monkeypatch.setattr(ad, "_conv_input_grad", lambda *a: -true_fn(*a))
         rng = np.random.default_rng(3)
-        x = tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        x = tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
         kernel = tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
 
         def build():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,19 @@ class TestDataErrors:
         assert "relation label 'r,1' may not contain commas or newlines" in capsys.readouterr().err
         assert not (out / "trainlog.csv").exists()
         assert not (out / "checkpoint.bin").exists()
+
+    def test_checkpoint_with_too_few_labels(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        checkpoint = run_train(tmp_path, data) / "checkpoint.bin"
+        blob = checkpoint.read_bytes()
+        end = 8 + struct.unpack("<Q", blob[:8])[0]
+        lines = blob[8:end].decode("utf-8").split("\n")
+        manifest = "\n".join(line.rpartition(",")[0] if line.startswith("labels=") else line for line in lines)
+        checkpoint.write_bytes(struct.pack("<Q", len(manifest)) + manifest.encode("utf-8") + blob[end:])
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(data / "test.jsonl"),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "labels but num_relations" in capsys.readouterr().err
 
     def test_embedding_dim_mismatch(self, tmp_path, capsys):
         data = run_synth(tmp_path)

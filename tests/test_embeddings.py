@@ -210,12 +210,6 @@ class TestEncodedCorpus:
         encoded, _ = em.encode_corpus(mixed_corpus(3), TestEncodeCorpus.VOCAB, SMALL, TestEncodeCorpus.SCHEMA)
         return encoded
 
-    @staticmethod
-    def _same_rows(a, b):
-        return (np.array_equal(a.token_ids, b.token_ids) and np.array_equal(a.pos1_ids, b.pos1_ids)
-                and np.array_equal(a.pos2_ids, b.pos2_ids) and np.array_equal(a.labels, b.labels)
-                and a.pair_keys == b.pair_keys and np.array_equal(a.original_lengths, b.original_lengths))
-
     def test_integer_gives_the_row(self):
         enc = self._corpus()
         row = enc[4]
@@ -242,20 +236,12 @@ class TestEncodedCorpus:
         rows = list(enc)
         assert len(rows) == len(enc)
         assert [r.label for r in rows] == enc.labels.tolist()
-        assert self._same_rows(em.EncodedCorpus.from_instances(rows), enc)
-
-    def test_as_corpus_stacks_a_list_and_keeps_a_corpus(self):
-        enc = self._corpus()
-        assert em.as_corpus(enc) is enc
-        assert self._same_rows(em.as_corpus(list(enc[:10])), enc[:10])
-
-    def test_embed_batch_takes_either_form(self):
-        enc = self._corpus()[:5]
-        rng = np.random.default_rng(0)
-        tables = [ad.Tensor(rng.normal(size=(rows, dim))) for rows, dim in
-                  ((len(TestEncodeCorpus.VOCAB), SMALL.word_dim), (SMALL.num_distances, SMALL.pos_dim),
-                   (SMALL.num_distances, SMALL.pos_dim))]
-        np.testing.assert_array_equal(em.embed_batch(*tables, enc).data, em.embed_batch(*tables, list(enc)).data)
+        for i, row in enumerate(rows):
+            assert np.array_equal(row.token_ids, enc.token_ids[i])
+            assert np.array_equal(row.pos1_ids, enc.pos1_ids[i])
+            assert np.array_equal(row.pos2_ids, enc.pos2_ids[i])
+            assert row.pair_key == enc.pair_keys[i]
+            assert row.original_length == enc.original_lengths[i]
 
 
 class TestLoadEmbeddings:
@@ -325,6 +311,8 @@ class TestLoadEmbeddings:
 
 
 class TestEmbed:
+    VOCAB = em.Vocabulary(["a", "b"])
+
     def _tables(self, vocab):
         rng = np.random.default_rng(42)
         word = ad.Tensor(rng.normal(size=(len(vocab), SMALL.word_dim)), requires_grad=True)
@@ -332,42 +320,39 @@ class TestEmbed:
         pos2 = ad.Tensor(rng.normal(size=(SMALL.num_distances, SMALL.pos_dim)), requires_grad=True)
         return word, pos1, pos2
 
+    def _batch(self, count):
+        """``count`` copies of the sentence "a b" with entities at 0 and 1."""
+        rows = [ds.CorpusInstance(("a", "b"), 0, 1, "", "", "NA")] * count
+        encoded, _ = em.encode_corpus(rows, self.VOCAB, SMALL, ds.RelationSchema(("NA",)))
+        return encoded
+
     def test_single_instance_shape(self):
-        v = em.Vocabulary(["a", "b"])
-        word, pos1, pos2 = self._tables(v)
-        enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        out = em.embed_batch(word, pos1, pos2, [enc])
+        word, pos1, pos2 = self._tables(self.VOCAB)
+        out = em.embed_batch(word, pos1, pos2, self._batch(1))
         assert out.data.shape == (1, SMALL.sent_len, SMALL.concat_dim)
 
     def test_batch_stacks_instances(self):
-        v = em.Vocabulary(["a", "b"])
-        word, pos1, pos2 = self._tables(v)
-        enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        out = em.embed_batch(word, pos1, pos2, [enc, enc])
+        word, pos1, pos2 = self._tables(self.VOCAB)
+        out = em.embed_batch(word, pos1, pos2, self._batch(2))
         assert out.data.shape == (2, SMALL.sent_len, SMALL.concat_dim)
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_feature_layout_is_word_then_positions(self):
-        v = em.Vocabulary(["a", "b"])
-        word, pos1, pos2 = self._tables(v)
-        enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        out = em.embed_batch(word, pos1, pos2, [enc]).data[0]
-        np.testing.assert_array_equal(out[0, : SMALL.word_dim], word.data[enc.token_ids[0]])
+        word, pos1, pos2 = self._tables(self.VOCAB)
+        enc = self._batch(1)
+        out = em.embed_batch(word, pos1, pos2, enc).data[0]
+        np.testing.assert_array_equal(out[0, : SMALL.word_dim], word.data[enc.token_ids[0, 0]])
         np.testing.assert_array_equal(out[0, SMALL.word_dim : SMALL.word_dim + SMALL.pos_dim],
-                                      pos1.data[enc.pos1_ids[0]])
+                                      pos1.data[enc.pos1_ids[0, 0]])
 
     def test_shared_position_table_rejected(self):
-        v = em.Vocabulary(["a", "b"])
-        word, pos1, _ = self._tables(v)
-        enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
+        word, pos1, _ = self._tables(self.VOCAB)
         with pytest.raises(ValueError):
-            em.embed_batch(word, pos1, pos1, [enc])
+            em.embed_batch(word, pos1, pos1, self._batch(1))
         with pytest.raises(ValueError):
-            em.embed_batch(word, pos1, pos1, [enc, enc])
+            em.embed_batch(word, pos1, pos1, self._batch(2))
 
     def test_gradients_reach_all_three_tables(self):
-        v = em.Vocabulary(["a", "b"])
-        word, pos1, pos2 = self._tables(v)
-        enc = em.encode_instance(["a", "b"], 0, 1, 0, v, SMALL)
-        ad.backward(ad.sum_all(em.embed_batch(word, pos1, pos2, [enc])))
+        word, pos1, pos2 = self._tables(self.VOCAB)
+        ad.backward(ad.sum_all(em.embed_batch(word, pos1, pos2, self._batch(1))))
         assert word.grad.any() and pos1.grad.any() and pos2.grad.any()

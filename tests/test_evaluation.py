@@ -111,17 +111,21 @@ class TestCollectPredictions:
         model = md.build_model(mcfg, seed=0, vocab=vocab, schema=schema)
         return model
 
+    @staticmethod
+    def _encode(model, sentences):
+        """EncodedCorpus of (tokens, label, pair key) sentences, entities at 0 and 2."""
+        rows = [ds.CorpusInstance(tuple(tokens), 0, 2, key[0], key[1], model.schema.labels[label])
+                for tokens, label, key in sentences]
+        encoded, _ = em.encode_corpus(rows, model.vocab, model.config.embedding, model.schema)
+        return encoded
+
     def test_max_aggregation_keeps_best_sentence(self, monkeypatch):
         model = self._setup(None)
-        ecfg = model.config.embedding
-        encoded = [
-            em.encode_instance(["w0", "w1", "w2"], 0, 2, 1, model.vocab, ecfg,
-                               pair_key=("x", "y")),
-            em.encode_instance(["w0", "w1", "w2"], 0, 2, 1, model.vocab, ecfg,
-                               pair_key=("x", "y")),
-            em.encode_instance(["w2", "w1", "w0"], 0, 2, 1, model.vocab, ecfg,
-                               pair_key=("u", "v")),
-        ]
+        encoded = self._encode(model, [
+            (["w0", "w1", "w2"], 1, ("x", "y")),
+            (["w0", "w1", "w2"], 1, ("x", "y")),
+            (["w2", "w1", "w0"], 1, ("u", "v")),
+        ])
         table = np.array([
             [0.2, 0.5, 0.3],   # pair (x, y), sentence 0
             [0.1, 0.7, 0.2],   # pair (x, y), sentence 1 (better for r1)
@@ -138,9 +142,7 @@ class TestCollectPredictions:
 
     def test_tie_keeps_earliest_sentence(self, monkeypatch):
         model = self._setup(None)
-        ecfg = model.config.embedding
-        encoded = [em.encode_instance(["w0", "w1", "w2"], 0, 2, 1, model.vocab, ecfg)
-                   for _ in range(2)]
+        encoded = self._encode(model, [(["w0", "w1", "w2"], 1, ("", ""))] * 2)
         table = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
         monkeypatch.setattr(md, "predict_proba", lambda m, e, chunk=256: table)
         preds = ev.collect_predictions(model, encoded)
@@ -148,14 +150,7 @@ class TestCollectPredictions:
 
     def test_sort_is_deterministic_under_score_ties(self, monkeypatch):
         model = self._setup(None)
-        ecfg = model.config.embedding
-
-        def make(key):
-            inst = em.encode_instance(["w0", "w1", "w2"], 0, 2, 1, model.vocab, ecfg,
-                                      pair_key=key)
-            return inst
-
-        encoded = [make(("b", "b")), make(("a", "a"))]
+        encoded = self._encode(model, [(["w0", "w1", "w2"], 1, key) for key in (("b", "b"), ("a", "a"))])
         table = np.array([[0.2, 0.4, 0.4], [0.2, 0.4, 0.4]])
         monkeypatch.setattr(md, "predict_proba", lambda m, e, chunk=256: table)
         preds = ev.collect_predictions(model, encoded)
@@ -165,12 +160,11 @@ class TestCollectPredictions:
 
     def test_empty_input(self):
         model = self._setup(None)
-        assert ev.collect_predictions(model, []) == []
+        assert ev.collect_predictions(model, self._encode(model, [])) == []
 
     def test_na_never_ranked(self, monkeypatch):
         model = self._setup(None)
-        ecfg = model.config.embedding
-        encoded = [em.encode_instance(["w0", "w1", "w2"], 0, 2, 0, model.vocab, ecfg)]
+        encoded = self._encode(model, [(["w0", "w1", "w2"], 0, ("", ""))])
         table = np.array([[0.98, 0.01, 0.01]])
         monkeypatch.setattr(md, "predict_proba", lambda m, e, chunk=256: table)
         preds = ev.collect_predictions(model, encoded)
@@ -203,12 +197,11 @@ class TestCollectPredictionsOracle:
             count = int(rng.integers(1, 40))
             keys = [(entities[int(a)], entities[int(b)]) for a, b in rng.integers(len(entities), size=(count, 2))]
             probs = rng.integers(0, 5, size=(count, num_relations)) / 4.0
-            rows = [em.EncodedInstance(np.zeros(3, np.int64), np.zeros(3, np.int64), np.zeros(3, np.int64),
-                                       0, key) for key in keys]
+            rows = [ds.CorpusInstance(("w",), 0, 0, a, b, "NA") for a, b in keys]
+            encoded, _ = em.encode_corpus(rows, em.Vocabulary(), em.EmbeddingConfig(sent_len=3), schema)
             monkeypatch.setattr(md, "predict_proba", lambda m, e, chunk=256: probs)
             want = dict_loop_ranking(keys, probs, num_relations)
-            assert ev.collect_predictions(model, rows) == want
-            assert ev.collect_predictions(model, em.EncodedCorpus.from_instances(rows)) == want
+            assert ev.collect_predictions(model, encoded) == want
 
     def test_matches_dict_loop_on_a_trained_model(self, trained):
         model, test, _ = trained

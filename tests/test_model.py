@@ -1,4 +1,5 @@
 import errno
+import struct
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ def config(variant="rescnn_x", conv_layers=5, filters=8, keep_prob=1.0, **kw):
 
 
 def sample_batch(count=2):
-    tokens = [f"t{i % 10}" for i in range(9)]
-    return [em.encode_instance(tokens, 1, 4 + i % 3, 1, VOCAB, ECFG) for i in range(count)]
+    tokens = tuple(f"t{i % 10}" for i in range(9))
+    rows = [ds.CorpusInstance(tokens, 1, 4 + i % 3, "", "", "r1") for i in range(count)]
+    encoded, _ = em.encode_corpus(rows, VOCAB, ECFG, SCHEMA)
+    return encoded
 
 
 class TestModelConfig:
@@ -169,7 +172,7 @@ class TestForward:
     def test_empty_batch_rejected(self):
         model = md.build_model(config(), seed=1, vocab=VOCAB, schema=SCHEMA)
         with pytest.raises(ValueError):
-            md.forward(model, [])
+            md.forward(model, sample_batch(0))
 
     def test_dropout_only_randomizes_training(self):
         model = md.build_model(config(keep_prob=0.5), seed=1, vocab=VOCAB, schema=SCHEMA)
@@ -305,8 +308,6 @@ class TestCheckpoint:
     def test_wrong_format_tag_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         manifest = b"format=not-a-checkpoint\n"
-        import struct
-
         path.write_bytes(struct.pack("<Q", len(manifest)) + manifest)
         with pytest.raises(DataError, match="format"):
             md.load_checkpoint(path)
@@ -320,6 +321,35 @@ class TestCheckpoint:
         blob[-8:] = np.float64("nan").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="non-finite"):
+            md.load_checkpoint(path)
+
+    def _saved_blob(self, tmp_path):
+        """A saved checkpoint's path, its bytes and the offset of its first parameter record."""
+        path = tmp_path / "ck.bin"
+        md.save_checkpoint(self._model(), path)
+        blob = path.read_bytes()
+        return path, bytearray(blob), 8 + struct.unpack("<Q", blob[:8])[0]
+
+    def test_label_count_differing_from_num_relations_rejected(self, tmp_path):
+        path, blob, first = self._saved_blob(tmp_path)
+        manifest = bytes(blob[8:first]).replace(b"labels=NA,r1,r2\n", b"labels=NA,r1\n")
+        path.write_bytes(struct.pack("<Q", len(manifest)) + manifest + bytes(blob[first:]))
+        with pytest.raises(DataError, match="2 labels but num_relations=3"):
+            md.load_checkpoint(path)
+
+    def test_non_utf8_parameter_name_rejected(self, tmp_path):
+        path, blob, first = self._saved_blob(tmp_path)
+        assert blob[first + 8 : first + 16] == b"word_emb"
+        blob[first + 8] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="out of order"):
+            md.load_checkpoint(path)
+
+    def test_absurd_parameter_name_length_rejected(self, tmp_path):
+        path, blob, first = self._saved_blob(tmp_path)
+        blob[first : first + 8] = struct.pack("<Q", 1 << 63)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="9223372036854775808-byte name, expected 'word_emb'"):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()])

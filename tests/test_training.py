@@ -241,9 +241,9 @@ class TestMetricsHelpers:
     def test_empty_sets_rejected(self):
         model = tiny_model(tiny_corpus())
         with pytest.raises(DataError):
-            tr.loss_on(model, [])
+            tr.loss_on(model, encode(model, []))
         with pytest.raises(DataError):
-            tr.accuracy_on(model, [])
+            tr.accuracy_on(model, encode(model, []))
 
     def test_loss_on_matches_mean_cross_entropy(self):
         train = tiny_corpus(num_train=12)
